@@ -14,10 +14,19 @@
 //                    Array cheapest at n=16;
 //   bm_list_contains: HashArrayList flat, ArrayList linear.
 //
+// bm_flat_scan times the flat-array membership scan itself, inline
+// std::find (kernel 0) against the out-of-line AVX2 kernel (kernel 1),
+// over lengths around collections/detail/FlatScan.h's cutover. Every
+// element is looked up once present and once absent, like the model
+// builder's contains scenario, either in order or shuffled.
+//
 //===----------------------------------------------------------------------===//
 
 #include "collections/Factory.h"
+#include "collections/detail/FlatScan.h"
 #include "support/Random.h"
+
+#include <algorithm>
 
 #include <benchmark/benchmark.h>
 
@@ -102,7 +111,48 @@ void bmMapGet(benchmark::State &State) {
   State.SetLabel(mapVariantName(Variant));
 }
 
+void bmFlatScan(benchmark::State &State) {
+  bool Avx2 = State.range(0) != 0;
+  size_t N = static_cast<size_t>(State.range(1));
+  bool Shuffled = State.range(2) != 0;
+  if (Avx2 && !detail::FlatScanHasAvx2) {
+    State.SkipWithError("this CPU has no AVX2");
+    return;
+  }
+  std::vector<int64_t> Keys = keysFor(N * 2);
+  std::vector<int64_t> Data(Keys.begin(),
+                            Keys.begin() + static_cast<ptrdiff_t>(N));
+  // In order, the branch predictor learns where each scan stops; a
+  // long random order keeps it from learning.
+  std::vector<int64_t> Lookups = Keys;
+  if (Shuffled) {
+    SplitMix64 Rng(11);
+    Lookups.resize(8192);
+    for (int64_t &Key : Lookups)
+      Key = Keys[Rng.nextBelow(Keys.size())];
+  }
+  size_t I = 0;
+  for (auto _ : State) {
+    int64_t Key = Lookups[I++ % Lookups.size()];
+    size_t Found =
+        Avx2 ? detail::findIndex64Avx2(Data.data(), N,
+                                       static_cast<uint64_t>(Key))
+             : static_cast<size_t>(
+                   std::find(Data.data(), Data.data() + N, Key) -
+                   Data.data());
+    benchmark::DoNotOptimize(Found);
+  }
+  State.SetLabel(std::string(Avx2 ? "avx2" : "std::find") +
+                (Shuffled ? " shuffled" : " in order"));
+}
+
 void registerAll() {
+  for (int64_t Shuffled : {0, 1})
+    for (int64_t Kernel : {0, 1})
+      for (int64_t N : {4, 8, 12, 16, 24, 32, 48, 64, 128, 512})
+        benchmark::RegisterBenchmark("bm_flat_scan", bmFlatScan)
+            ->Args({Kernel, N, Shuffled})->MinTime(0.05);
+
   for (ListVariant V : AllListVariants) {
     for (int64_t N : {16, 256}) {
       benchmark::RegisterBenchmark("bm_list_populate", bmListPopulate)

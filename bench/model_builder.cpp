@@ -12,7 +12,14 @@
 // the working directory; the harnesses search the same chain plus the
 // checked-in `data/cswitch_model.txt` fallback.
 //
-// Usage: model_builder [--quick] [--out <path>]
+// `--check` then gates the wall-clock shape of the fresh model, the
+// properties the unit tests can only check on injected times: an
+// ArrayList contains at size 512 costs more than 4x one at size 8, and an
+// ArrayMap lookup at 512 more than 2x an OpenHashMap one. It exits 1 when
+// either fails. Run it at full options: the quick plan's samples are too
+// short to be trusted on a loaded machine.
+//
+// Usage: model_builder [--quick] [--out <path>] [--check]
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,14 +33,49 @@
 
 using namespace cswitch;
 
+namespace {
+
+double containsNanos(const PerformanceModel &Model, VariantId Variant,
+                     double Size) {
+  return Model.operationCost(Variant, OperationKind::Contains,
+                             CostDimension::Time, Size);
+}
+
+/// One --check gate: \p Cost must exceed \p Factor times \p Base.
+bool gate(const char *Name, double Cost, double Base, double Factor) {
+  bool Pass = Cost > Base * Factor;
+  std::printf("check %-44s %8.2f ns vs %.0fx %6.2f ns (%.1fx)  %s\n", Name,
+              Cost, Factor, Base, Cost / Base, Pass ? "PASS" : "FAIL");
+  return Pass;
+}
+
+bool checkShape(const PerformanceModel &Model) {
+  VariantId ArrayList = VariantId::of(ListVariant::ArrayList);
+  bool Scan = gate("ArrayList contains: size 512 vs size 8",
+                   containsNanos(Model, ArrayList, 512),
+                   containsNanos(Model, ArrayList, 8), 4);
+  bool Hash = gate("contains at 512: ArrayMap vs OpenHashMap",
+                   containsNanos(Model, VariantId::of(MapVariant::ArrayMap),
+                                 512),
+                   containsNanos(Model,
+                                 VariantId::of(MapVariant::OpenHashMap), 512),
+                   2);
+  return Scan && Hash;
+}
+
+} // namespace
+
 int main(int Argc, char **Argv) {
   bool Quick = false;
+  bool Check = false;
   const char *EnvPath = std::getenv("CSWITCH_MODEL");
   std::string OutPath =
       EnvPath && EnvPath[0] ? EnvPath : "cswitch_model.txt";
   for (int I = 1; I != Argc; ++I) {
     if (std::strcmp(Argv[I], "--quick") == 0)
       Quick = true;
+    else if (std::strcmp(Argv[I], "--check") == 0)
+      Check = true;
     else if (std::strcmp(Argv[I], "--out") == 0 && I + 1 != Argc)
       OutPath = Argv[++I];
   }
@@ -76,5 +118,5 @@ int main(int Argc, char **Argv) {
   std::printf("derived adaptive thresholds on this machine: list=%zu "
               "set=%zu map=%zu (paper Table 1: 80/40/50)\n",
               T.List, T.Set, T.Map);
-  return 0;
+  return Check && !checkShape(Model) ? 1 : 0;
 }

@@ -19,10 +19,10 @@
 
 #include "collections/AdaptiveConfig.h"
 #include "collections/ListInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "collections/detail/HashBag.h"
 #include "support/MemoryTracker.h"
 
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -66,12 +66,12 @@ public:
   bool removeValue(const T &Value) override {
     if (Indexed && !Index.contains(Value))
       return false;
-    auto It = std::find(Data.begin(), Data.end(), Value);
-    if (It == Data.end())
+    size_t I = detail::findIndex(Data.data(), Data.size(), Value);
+    if (I == Data.size())
       return false;
     if (Indexed)
       Index.removeOne(Value);
-    Data.erase(It);
+    Data.erase(Data.begin() + static_cast<ptrdiff_t>(I));
     return true;
   }
 
@@ -92,7 +92,7 @@ public:
   bool contains(const T &Value) const override {
     if (Indexed)
       return Index.contains(Value);
-    return std::find(Data.begin(), Data.end(), Value) != Data.end();
+    return detail::findIndex(Data.data(), Data.size(), Value) != Data.size();
   }
 
   size_t size() const override { return Data.size(); }

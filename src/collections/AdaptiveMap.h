@@ -18,6 +18,7 @@
 
 #include "collections/AdaptiveConfig.h"
 #include "collections/MapInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "collections/detail/OpenHashTable.h"
 #include "support/MemoryTracker.h"
 
@@ -37,11 +38,10 @@ public:
   bool put(const K &Key, const V &Value) override {
     if (Migrated)
       return Table.insertOrAssign(Key, Value);
-    for (size_t I = 0, E = SmallKeys.size(); I != E; ++I) {
-      if (SmallKeys[I] == Key) {
-        SmallVals[I] = Value;
-        return false;
-      }
+    size_t I = smallIndexOf(Key);
+    if (I != SmallKeys.size()) {
+      SmallVals[I] = Value;
+      return false;
     }
     if (SmallKeys.capacity() == 0) {
       SmallKeys.reserve(8);
@@ -57,10 +57,8 @@ public:
   const V *get(const K &Key) const override {
     if (Migrated)
       return Table.find(Key);
-    for (size_t I = 0, E = SmallKeys.size(); I != E; ++I)
-      if (SmallKeys[I] == Key)
-        return &SmallVals[I];
-    return nullptr;
+    size_t I = smallIndexOf(Key);
+    return I != SmallKeys.size() ? &SmallVals[I] : nullptr;
   }
 
   V *getMutable(const K &Key) override {
@@ -75,14 +73,12 @@ public:
   bool remove(const K &Key) override {
     if (Migrated)
       return Table.erase(Key);
-    for (size_t I = 0, E = SmallKeys.size(); I != E; ++I) {
-      if (SmallKeys[I] == Key) {
-        SmallKeys.erase(SmallKeys.begin() + static_cast<ptrdiff_t>(I));
-        SmallVals.erase(SmallVals.begin() + static_cast<ptrdiff_t>(I));
-        return true;
-      }
-    }
-    return false;
+    size_t I = smallIndexOf(Key);
+    if (I == SmallKeys.size())
+      return false;
+    SmallKeys.erase(SmallKeys.begin() + static_cast<ptrdiff_t>(I));
+    SmallVals.erase(SmallVals.begin() + static_cast<ptrdiff_t>(I));
+    return true;
   }
 
   size_t size() const override {
@@ -134,6 +130,10 @@ public:
   size_t threshold() const { return Threshold; }
 
 private:
+  size_t smallIndexOf(const K &Key) const {
+    return detail::findIndex(SmallKeys.data(), SmallKeys.size(), Key);
+  }
+
   void migrate() {
     Table.reserve(SmallKeys.size() * 2);
     for (size_t I = 0, E = SmallKeys.size(); I != E; ++I)

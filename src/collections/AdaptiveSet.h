@@ -18,10 +18,10 @@
 
 #include "collections/AdaptiveConfig.h"
 #include "collections/SetInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "collections/detail/OpenHashTable.h"
 #include "support/MemoryTracker.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace cswitch {
@@ -37,7 +37,7 @@ public:
   bool add(const T &Value) override {
     if (Migrated)
       return Table.insert(Value);
-    if (std::find(Small.begin(), Small.end(), Value) != Small.end())
+    if (smallIndexOf(Value) != Small.size())
       return false;
     if (Small.capacity() == 0)
       Small.reserve(8);
@@ -50,16 +50,16 @@ public:
   bool contains(const T &Value) const override {
     if (Migrated)
       return Table.contains(Value);
-    return std::find(Small.begin(), Small.end(), Value) != Small.end();
+    return smallIndexOf(Value) != Small.size();
   }
 
   bool remove(const T &Value) override {
     if (Migrated)
       return Table.erase(Value);
-    auto It = std::find(Small.begin(), Small.end(), Value);
-    if (It == Small.end())
+    size_t I = smallIndexOf(Value);
+    if (I == Small.size())
       return false;
-    Small.erase(It);
+    Small.erase(Small.begin() + static_cast<ptrdiff_t>(I));
     return true;
   }
 
@@ -108,6 +108,10 @@ public:
   size_t threshold() const { return Threshold; }
 
 private:
+  size_t smallIndexOf(const T &Value) const {
+    return detail::findIndex(Small.data(), Small.size(), Value);
+  }
+
   void migrate() {
     Table.reserve(Small.size() * 2);
     for (const T &V : Small)

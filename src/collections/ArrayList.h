@@ -16,9 +16,9 @@
 #define CSWITCH_COLLECTIONS_ARRAYLIST_H
 
 #include "collections/ListInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "support/MemoryTracker.h"
 
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -48,10 +48,10 @@ public:
   }
 
   bool removeValue(const T &Value) override {
-    auto It = std::find(Data.begin(), Data.end(), Value);
-    if (It == Data.end())
+    size_t I = detail::findIndex(Data.data(), Data.size(), Value);
+    if (I == Data.size())
       return false;
-    Data.erase(It);
+    Data.erase(Data.begin() + static_cast<ptrdiff_t>(I));
     return true;
   }
 
@@ -66,7 +66,7 @@ public:
   }
 
   bool contains(const T &Value) const override {
-    return std::find(Data.begin(), Data.end(), Value) != Data.end();
+    return detail::findIndex(Data.data(), Data.size(), Value) != Data.size();
   }
 
   size_t size() const override { return Data.size(); }

@@ -17,6 +17,7 @@
 #define CSWITCH_COLLECTIONS_ARRAYMAP_H
 
 #include "collections/MapInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "support/MemoryTracker.h"
 
 #include <cassert>
@@ -31,11 +32,10 @@ public:
   ArrayMapImpl() = default;
 
   bool put(const K &Key, const V &Value) override {
-    for (size_t I = 0, E = Keys.size(); I != E; ++I) {
-      if (Keys[I] == Key) {
-        Vals[I] = Value;
-        return false;
-      }
+    size_t I = detail::findIndex(Keys.data(), Keys.size(), Key);
+    if (I != Keys.size()) {
+      Vals[I] = Value;
+      return false;
     }
     // Like the Java array maps' default capacity: avoid tiny-growth churn.
     if (Keys.capacity() == 0) {
@@ -48,10 +48,8 @@ public:
   }
 
   const V *get(const K &Key) const override {
-    for (size_t I = 0, E = Keys.size(); I != E; ++I)
-      if (Keys[I] == Key)
-        return &Vals[I];
-    return nullptr;
+    size_t I = detail::findIndex(Keys.data(), Keys.size(), Key);
+    return I != Keys.size() ? &Vals[I] : nullptr;
   }
 
   V *getMutable(const K &Key) override {
@@ -64,14 +62,12 @@ public:
   }
 
   bool remove(const K &Key) override {
-    for (size_t I = 0, E = Keys.size(); I != E; ++I) {
-      if (Keys[I] == Key) {
-        Keys.erase(Keys.begin() + static_cast<ptrdiff_t>(I));
-        Vals.erase(Vals.begin() + static_cast<ptrdiff_t>(I));
-        return true;
-      }
-    }
-    return false;
+    size_t I = detail::findIndex(Keys.data(), Keys.size(), Key);
+    if (I == Keys.size())
+      return false;
+    Keys.erase(Keys.begin() + static_cast<ptrdiff_t>(I));
+    Vals.erase(Vals.begin() + static_cast<ptrdiff_t>(I));
+    return true;
   }
 
   size_t size() const override { return Keys.size(); }

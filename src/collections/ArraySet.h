@@ -18,9 +18,9 @@
 #define CSWITCH_COLLECTIONS_ARRAYSET_H
 
 #include "collections/SetInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "support/MemoryTracker.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace cswitch {
@@ -41,14 +41,14 @@ public:
   }
 
   bool contains(const T &Value) const override {
-    return std::find(Data.begin(), Data.end(), Value) != Data.end();
+    return detail::findIndex(Data.data(), Data.size(), Value) != Data.size();
   }
 
   bool remove(const T &Value) override {
-    auto It = std::find(Data.begin(), Data.end(), Value);
-    if (It == Data.end())
+    size_t I = detail::findIndex(Data.data(), Data.size(), Value);
+    if (I == Data.size())
       return false;
-    Data.erase(It);
+    Data.erase(Data.begin() + static_cast<ptrdiff_t>(I));
     return true;
   }
 

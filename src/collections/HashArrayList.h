@@ -18,10 +18,10 @@
 #define CSWITCH_COLLECTIONS_HASHARRAYLIST_H
 
 #include "collections/ListInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "collections/detail/HashBag.h"
 #include "support/MemoryTracker.h"
 
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -56,10 +56,10 @@ public:
     // the array removal is still linear — the slowness the paper observed.
     if (!Index.contains(Value))
       return false;
-    auto It = std::find(Data.begin(), Data.end(), Value);
-    assert(It != Data.end() && "index out of sync with data");
+    size_t I = detail::findIndex(Data.data(), Data.size(), Value);
+    assert(I != Data.size() && "index out of sync with data");
     Index.removeOne(Value);
-    Data.erase(It);
+    Data.erase(Data.begin() + static_cast<ptrdiff_t>(I));
     return true;
   }
 

@@ -251,10 +251,15 @@ private:
     Sink = nullptr;
   }
 
-  void finishTrace() { Rec.finish(Impl ? Impl->size() : 0); }
+  // Both check Rec first: an untraced op must not pay the virtual size().
+  void finishTrace() {
+    if (Rec)
+      Rec.finish(Impl ? Impl->size() : 0);
+  }
 
   void recordOp(TraceOpKind Kind, OpClass Class) const {
-    Rec.push(Kind, Class, Impl->size());
+    if (Rec)
+      Rec.push(Kind, Class, Impl->size());
   }
 
   void note(OperationKind Kind) const {

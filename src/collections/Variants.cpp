@@ -6,7 +6,15 @@
 
 #include "collections/Variants.h"
 
+#include "collections/detail/FlatScan.h"
+
+#include <bit>
 #include <cassert>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 using namespace cswitch;
 
@@ -232,3 +240,87 @@ unsigned cswitch::concurrentInitialVariant(AbstractionKind Kind,
   ConcurrentPair Pair = concurrentPairOf(Kind);
   return Mode == Concurrency::Sharded ? Pair.Sharded : Pair.Mutex;
 }
+
+//===----------------------------------------------------------------------===//
+// Flat-array membership scan (collections/detail/FlatScan.h)
+//===----------------------------------------------------------------------===//
+
+size_t cswitch::detail::findIndex64Scalar(const void *Data, size_t N,
+                                          uint64_t Value) {
+  const auto *Bytes = static_cast<const unsigned char *>(Data);
+  for (size_t I = 0; I != N; ++I) {
+    uint64_t Word;
+    std::memcpy(&Word, Bytes + I * sizeof(Word), sizeof(Word));
+    if (Word == Value)
+      return I;
+  }
+  return N;
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+/// Lane mask (bit i = lane i) of a 4 x 64-bit comparison result.
+__attribute__((target("avx2"))) unsigned laneMask(__m256i Cmp) {
+  return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(Cmp)));
+}
+
+__attribute__((target("avx2"))) __m256i compareAt(const uint64_t *Words,
+                                                   size_t I, __m256i Needle) {
+  return _mm256_cmpeq_epi64(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Words + I)),
+      Needle);
+}
+
+bool detectAvx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+
+} // namespace
+
+const bool cswitch::detail::FlatScanHasAvx2 = detectAvx2();
+
+__attribute__((target("avx2"))) size_t
+cswitch::detail::findIndex64Avx2(const void *Data, size_t N, uint64_t Value) {
+  // Fewer words than one vector: nothing to overlap the last load with.
+  if (N < 4)
+    return findIndex64Scalar(Data, N, Value);
+  const auto *Words = static_cast<const uint64_t *>(Data);
+  const __m256i Needle = _mm256_set1_epi64x(static_cast<long long>(Value));
+  size_t I = 0;
+  // 16 words per iteration; one OR-reduced test decides whether any of
+  // the four comparisons hit before the lanes are located.
+  for (; I + 16 <= N; I += 16) {
+    __m256i A = compareAt(Words, I, Needle);
+    __m256i B = compareAt(Words, I + 4, Needle);
+    __m256i C = compareAt(Words, I + 8, Needle);
+    __m256i D = compareAt(Words, I + 12, Needle);
+    __m256i Any = _mm256_or_si256(_mm256_or_si256(A, B), _mm256_or_si256(C, D));
+    if (!_mm256_testz_si256(Any, Any))
+      return I + static_cast<size_t>(std::countr_zero(
+                     laneMask(A) | laneMask(B) << 4 | laneMask(C) << 8 |
+                     laneMask(D) << 12));
+  }
+  for (; I + 4 <= N; I += 4)
+    if (unsigned Mask = laneMask(compareAt(Words, I, Needle)))
+      return I + static_cast<size_t>(std::countr_zero(Mask));
+  if (I == N)
+    return N;
+  // The tail: one vector ending at the last word. Its leading lanes were
+  // already found unequal, so its first hit is the first hit overall.
+  unsigned Mask = laneMask(compareAt(Words, N - 4, Needle));
+  return Mask ? N - 4 + static_cast<size_t>(std::countr_zero(Mask)) : N;
+}
+
+#else
+
+const bool cswitch::detail::FlatScanHasAvx2 = false;
+
+size_t cswitch::detail::findIndex64Avx2(const void *Data, size_t N,
+                                        uint64_t Value) {
+  return findIndex64Scalar(Data, N, Value);
+}
+
+#endif

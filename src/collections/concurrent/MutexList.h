@@ -16,9 +16,9 @@
 #define CSWITCH_COLLECTIONS_CONCURRENT_MUTEXLIST_H
 
 #include "collections/ListInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "support/MemoryTracker.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <memory>
@@ -52,10 +52,10 @@ public:
 
   bool removeValue(const T &Value) override {
     std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = std::find(Data.begin(), Data.end(), Value);
-    if (It == Data.end())
+    size_t I = detail::findIndex(Data.data(), Data.size(), Value);
+    if (I == Data.size())
       return false;
-    Data.erase(It);
+    Data.erase(Data.begin() + static_cast<ptrdiff_t>(I));
     Count.store(Data.size(), std::memory_order_relaxed);
     return true;
   }
@@ -74,7 +74,7 @@ public:
 
   bool contains(const T &Value) const override {
     std::lock_guard<std::mutex> Lock(Mutex);
-    return std::find(Data.begin(), Data.end(), Value) != Data.end();
+    return detail::findIndex(Data.data(), Data.size(), Value) != Data.size();
   }
 
   size_t size() const override {

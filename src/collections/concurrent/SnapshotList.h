@@ -31,9 +31,9 @@
 #define CSWITCH_COLLECTIONS_CONCURRENT_SNAPSHOTLIST_H
 
 #include "collections/ListInterface.h"
+#include "collections/detail/FlatScan.h"
 #include "support/MemoryTracker.h"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <mutex>
@@ -71,11 +71,11 @@ public:
   bool removeValue(const T &Value) override {
     bool Found = false;
     mutate([&](Vec &Data) {
-      auto It = std::find(Data.begin(), Data.end(), Value);
-      if (It == Data.end())
+      size_t I = detail::findIndex(Data.data(), Data.size(), Value);
+      if (I == Data.size())
         return;
       Found = true;
-      Data.erase(It);
+      Data.erase(Data.begin() + static_cast<ptrdiff_t>(I));
     });
     return Found;
   }
@@ -95,7 +95,7 @@ public:
 
   bool contains(const T &Value) const override {
     std::shared_ptr<const Vec> S = snapshot();
-    return std::find(S->begin(), S->end(), Value) != S->end();
+    return detail::findIndex(S->data(), S->size(), Value) != S->size();
   }
 
   size_t size() const override { return snapshot()->size(); }

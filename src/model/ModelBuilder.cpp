@@ -50,6 +50,15 @@ OpSample measurePerOp(uint64_t MinSampleNanos, size_t OpsPerExecution,
           static_cast<double>(Alloc.allocatedInScope()) / Ops};
 }
 
+/// \p Measured, with its time replaced by the injected time source of
+/// \p Options when there is one.
+OpSample timedSample(const ModelBuildOptions &Options, VariantId Variant,
+                     OperationKind Op, size_t Size, OpSample Measured) {
+  if (Options.TimeCost)
+    Measured.Nanos = Options.TimeCost(Variant, Op, Size);
+  return Measured;
+}
+
 /// Uniform distinct keys for a collection of \p Size elements, plus an
 /// equal number of keys guaranteed absent (the paper's contains scenario
 /// mixes hits and misses).
@@ -146,7 +155,8 @@ void runListScenarios(
       break;
     }
     if (It >= Options.WarmupIterations)
-      EmitSample(Sample);
+      EmitSample(timedSample(Options, VariantId::of(Variant), Op, Size,
+                             Sample));
   }
 }
 
@@ -210,7 +220,8 @@ void runSetScenarios(
       return;
     }
     if (It >= Options.WarmupIterations)
-      EmitSample(Sample);
+      EmitSample(timedSample(Options, VariantId::of(Variant), Op, Size,
+                             Sample));
   }
 }
 
@@ -275,7 +286,8 @@ void runMapScenarios(
       return;
     }
     if (It >= Options.WarmupIterations)
-      EmitSample(Sample);
+      EmitSample(timedSample(Options, VariantId::of(Variant), Op, Size,
+                             Sample));
   }
 }
 
@@ -302,6 +314,9 @@ ModelBuilder::ModelBuilder(ModelBuildOptions Opts)
     : Options(std::move(Opts)) {
   if (Options.Sizes.empty())
     Options.Sizes = ModelBuildOptions::paperSizes();
+  // Injected times need no clock resolution: one execution per sample.
+  if (Options.TimeCost)
+    Options.MinSampleNanos = 0;
 }
 
 void ModelBuilder::report(const std::string &Line) {

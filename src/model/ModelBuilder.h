@@ -44,6 +44,13 @@ struct ModelBuildOptions {
   size_t PolynomialDegree = 3;
   /// Seed of all generated workloads.
   uint64_t Seed = 42;
+  /// Deterministic time source: nanoseconds per operation of a
+  /// (variant, operation, size) point. Unset, every sample is timed on
+  /// the wall clock. Set, it supplies every time sample and each sample
+  /// runs its scenario once, for the allocation count only, so the fit
+  /// can be checked independently of machine load; the wall-clock
+  /// properties are gated by `bench/model_builder --check`.
+  std::function<double(VariantId, OperationKind, size_t)> TimeCost;
 
   /// The paper's plan: sizes {10, 50, 100, 150, ..., 1000}.
   static std::vector<size_t> paperSizes();

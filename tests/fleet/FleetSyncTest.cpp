@@ -26,6 +26,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace cswitch;
 using namespace cswitch::fleet;
 
@@ -54,7 +56,10 @@ FleetSyncOptions fastSync() {
 }
 
 /// One live engine endpoint serving /store on an ephemeral loopback
-/// port, with a scratch store file, torn down on scope exit.
+/// port, with a scratch store file, torn down on scope exit. The file
+/// name carries the process id: ctest runs every test of this suite as
+/// its own process in the same directory, and two endpoints sharing a
+/// store would merge each other's pushes.
 class FleetEndpoint {
 public:
   explicit FleetEndpoint(size_t MaxPushBytes = 4u << 20) {
@@ -65,7 +70,8 @@ public:
         FleetOptions{}.serveStore().maxPushBytes(MaxPushBytes),
         std::string()});
     static int Counter = 0;
-    StorePath = "fleet_sync_test_" + std::to_string(++Counter) + ".store";
+    StorePath = "fleet_sync_test_" + std::to_string(::getpid()) + "_" +
+                std::to_string(++Counter) + ".store";
     std::remove(StorePath.c_str());
     EXPECT_TRUE(Switch::loadStore(StorePath));
     Port = Switch::serveMetrics(0);
@@ -77,6 +83,7 @@ public:
     Switch::closeStore();
     Switch::configure(SwitchConfig{});
     std::remove(StorePath.c_str());
+    std::remove((StorePath + ".lock").c_str());
   }
 
   std::string url() const {
@@ -151,15 +158,19 @@ TEST(FleetSync, StoreRoundTripsOverHttp) {
   EXPECT_EQ(Delta.PushFailures, 0u);
 }
 
-// Satellite of ISSUE 8: two writers POSTing store documents while a
-// reader pulls — every request must complete and every pulled document
-// must decode (the server serializes handlers; the merge is atomic
-// under the store's file lock).
+// Two writers POSTing store documents while a reader pulls — every
+// request must complete and every pulled document must decode (the
+// server serializes handlers; the merge is atomic under the store's file
+// lock). The server answers the three clients one at a time, so on a
+// loaded machine a request can wait well past fastSync()'s timeout; this
+// test is about the merge, not the timeout, so it allows 60 s.
 TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
   FleetEndpoint Endpoint;
   constexpr int RoundsPerWriter = 8;
+  const FleetSyncOptions Patient =
+      fastSync().requestTimeout(std::chrono::seconds(60));
 
-  auto Writer = [&Endpoint](const char *Prefix) {
+  auto Writer = [&Endpoint, &Patient](const char *Prefix) {
     for (int Round = 0; Round != RoundsPerWriter; ++Round) {
       std::vector<StoreSite> Sites = {
           makeSite(std::string(Prefix) + "/shared.cpp:1", 1,
@@ -167,7 +178,7 @@ TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
           makeSite("common/hot.cpp:7", 2,
                    static_cast<uint64_t>(Round + 1))};
       std::string Error;
-      EXPECT_TRUE(pushStore(Endpoint.url(), Sites, fastSync(), &Error))
+      EXPECT_TRUE(pushStore(Endpoint.url(), Sites, Patient, &Error))
           << Error;
     }
   };
@@ -177,7 +188,7 @@ TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
   for (int Round = 0; Round != RoundsPerWriter; ++Round) {
     std::vector<StoreSite> Sites;
     std::string Error;
-    EXPECT_TRUE(pullStore(Endpoint.url(), Sites, fastSync(), &Error))
+    EXPECT_TRUE(pullStore(Endpoint.url(), Sites, Patient, &Error))
         << Error;
   }
   WriterA.join();
@@ -187,7 +198,7 @@ TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
   // in the merged document exactly once.
   std::vector<StoreSite> Final;
   std::string Error;
-  ASSERT_TRUE(pullStore(Endpoint.url(), Final, fastSync(), &Error)) << Error;
+  ASSERT_TRUE(pullStore(Endpoint.url(), Final, Patient, &Error)) << Error;
   ASSERT_EQ(Final.size(), 3u);
   EXPECT_EQ(Final[0].Name, "common/hot.cpp:7");
   EXPECT_EQ(Final[1].Name, "writer-a/shared.cpp:1");

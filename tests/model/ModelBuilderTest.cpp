@@ -8,7 +8,9 @@
 /// Integration tests of the benchmark-driven model builder. These run
 /// real (tiny) measurements, so assertions stay qualitative: costs are
 /// positive, array scans grow with size, allocating operations report
-/// bytes. They are sized to finish in well under a second.
+/// bytes. They are sized to finish in well under a second. The scan-growth
+/// check runs on an injected deterministic time source; its wall-clock
+/// form is the `bench/model_builder --check` gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,8 +69,23 @@ TEST(ModelBuilder, ListModelsCoverEverySequentialVariantAndOp) {
     EXPECT_TRUE(Model.hasVariant(VariantId::of(V))) << listVariantName(V);
 }
 
+/// A deterministic stand-in for the wall clock: the plan's contains
+/// scenario looks up one present and one absent key per element, so an
+/// array scan compares 0.75 n + 0.25 elements per lookup on average;
+/// every other point costs a flat 5 ns.
+double arrayScanCost(VariantId Variant, OperationKind Op, size_t Size) {
+  if (Variant == VariantId::of(ListVariant::ArrayList) &&
+      Op == OperationKind::Contains)
+    return 2.0 + 0.25 * (0.75 * static_cast<double>(Size) + 0.25);
+  return 5.0;
+}
+
+// The fit must carry a linear scan's growth from size 8 to 512. The
+// same property on wall-clock samples is `bench/model_builder --check`.
 TEST(ModelBuilder, MeasuredArrayListContainsGrowsWithSize) {
-  ModelBuilder Builder(tinyOptions());
+  ModelBuildOptions Options = tinyOptions();
+  Options.TimeCost = arrayScanCost;
+  ModelBuilder Builder(Options);
   PerformanceModel Model;
   Builder.buildListModels(Model);
   VariantId Id = VariantId::of(ListVariant::ArrayList);
@@ -79,6 +96,9 @@ TEST(ModelBuilder, MeasuredArrayListContainsGrowsWithSize) {
       Model.operationCost(Id, OperationKind::Contains,
                           CostDimension::Time, 512);
   EXPECT_GT(Large, Small * 4);
+  // Exact linear samples are reproduced exactly by the quadratic fit.
+  EXPECT_NEAR(Small, arrayScanCost(Id, OperationKind::Contains, 8), 1e-3);
+  EXPECT_NEAR(Large, arrayScanCost(Id, OperationKind::Contains, 512), 1e-3);
 }
 
 TEST(ModelBuilder, MeasuredPopulateAllocatesBytes) {
