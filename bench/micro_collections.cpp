@@ -20,13 +20,21 @@
 // element is looked up once present and once absent, like the model
 // builder's contains scenario, either in order or shuffled.
 //
+// bm_hash_bag times the lookup index of HashArrayList and AdaptiveList
+// (collections/detail/HashBag.h) per operation: building a bag of n
+// distinct keys one addOne at a time and destroying it, as an index does
+// over a list's life; contains over a 22%-hit mix; and removeOne of every
+// key in shuffled order, which times the removals only.
+//
 //===----------------------------------------------------------------------===//
 
 #include "collections/Factory.h"
 #include "collections/detail/FlatScan.h"
+#include "collections/detail/HashBag.h"
 #include "support/Random.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include <benchmark/benchmark.h>
 
@@ -146,7 +154,81 @@ void bmFlatScan(benchmark::State &State) {
                 (Shuffled ? " shuffled" : " in order"));
 }
 
+enum class BagOp { Build, Contains, Remove };
+
+void bmHashBag(benchmark::State &State) {
+  auto Op = static_cast<BagOp>(State.range(0));
+  size_t N = static_cast<size_t>(State.range(1));
+  std::vector<int64_t> Pool = keysFor(N * 8);
+  std::vector<int64_t> Keys(Pool.begin(),
+                            Pool.begin() + static_cast<ptrdiff_t>(N));
+  SplitMix64 Rng(13);
+  using Clock = std::chrono::steady_clock;
+  double Total = 0;
+  auto Seconds = [&Total](Clock::time_point From) {
+    double Elapsed =
+        std::chrono::duration<double>(Clock::now() - From).count();
+    Total += Elapsed;
+    return Elapsed;
+  };
+
+  if (Op == BagOp::Contains) {
+    detail::HashBag<int64_t> Bag;
+    for (int64_t K : Keys)
+      Bag.addOne(K);
+    // 22% of the lookups hit; misses come from keys never added.
+    std::vector<int64_t> Lookups(8192);
+    for (int64_t &Key : Lookups)
+      Key = Rng.nextBelow(100) < 22 ? Keys[Rng.nextBelow(N)]
+                                    : Pool[N + Rng.nextBelow(Pool.size() - N)];
+    size_t I = 0;
+    for (auto _ : State) {
+      auto Start = Clock::now();
+      for (size_t J = 0; J != N; ++J)
+        benchmark::DoNotOptimize(Bag.contains(Lookups[I++ % Lookups.size()]));
+      State.SetIterationTime(Seconds(Start));
+    }
+  } else if (Op == BagOp::Build) {
+    for (auto _ : State) {
+      auto Start = Clock::now();
+      {
+        detail::HashBag<int64_t> Bag;
+        for (int64_t K : Keys)
+          Bag.addOne(K);
+        benchmark::DoNotOptimize(Bag.distinctSize());
+      }
+      State.SetIterationTime(Seconds(Start));
+    }
+  } else {
+    std::vector<int64_t> Order = Keys;
+    for (size_t I = Order.size(); I > 1; --I)
+      std::swap(Order[I - 1], Order[Rng.nextBelow(I)]);
+    for (auto _ : State) {
+      detail::HashBag<int64_t> Bag;
+      for (int64_t K : Keys)
+        Bag.addOne(K);
+      auto Start = Clock::now();
+      for (int64_t K : Order)
+        benchmark::DoNotOptimize(Bag.removeOne(K));
+      State.SetIterationTime(Seconds(Start));
+    }
+  }
+  State.counters["ns_per_op"] =
+      Total * 1e9 /
+      (static_cast<double>(N) * static_cast<double>(State.iterations()));
+  static const char *const Names[] = {"build", "contains 22% hit",
+                                      "removeOne"};
+  State.SetLabel(Names[static_cast<int>(Op)]);
+}
+
 void registerAll() {
+  for (BagOp Op : {BagOp::Build, BagOp::Contains, BagOp::Remove})
+    for (int64_t N : {16, 64, 128, 512})
+      benchmark::RegisterBenchmark("bm_hash_bag", bmHashBag)
+          ->Args({static_cast<int64_t>(Op), N})
+          ->UseManualTime()
+          ->MinTime(0.05);
+
   for (int64_t Shuffled : {0, 1})
     for (int64_t Kernel : {0, 1})
       for (int64_t N : {4, 8, 12, 16, 24, 32, 48, 64, 128, 512})

@@ -64,13 +64,13 @@ public:
   }
 
   bool removeValue(const T &Value) override {
-    if (Indexed && !Index.contains(Value))
+    if (Indexed && !Index.removeOne(Value))
       return false;
     size_t I = detail::findIndex(Data.data(), Data.size(), Value);
-    if (I == Data.size())
+    if (I == Data.size()) {
+      assert(!Indexed && "index out of sync with data");
       return false;
-    if (Indexed)
-      Index.removeOne(Value);
+    }
     Data.erase(Data.begin() + static_cast<ptrdiff_t>(I));
     return true;
   }
@@ -133,6 +133,7 @@ private:
   void maybeMigrate() {
     if (Data.size() <= Threshold)
       return;
+    Index.reserve(Data.size());
     for (const T &V : Data)
       Index.addOne(V);
     Indexed = true;

@@ -54,11 +54,10 @@ public:
   bool removeValue(const T &Value) override {
     // The bag answers "is it here" in O(1), but locating the position for
     // the array removal is still linear — the slowness the paper observed.
-    if (!Index.contains(Value))
+    if (!Index.removeOne(Value))
       return false;
     size_t I = detail::findIndex(Data.data(), Data.size(), Value);
     assert(I != Data.size() && "index out of sync with data");
-    Index.removeOne(Value);
     Data.erase(Data.begin() + static_cast<ptrdiff_t>(I));
     return true;
   }
@@ -91,7 +90,10 @@ public:
       Fn(V);
   }
 
-  void reserve(size_t N) override { Data.reserve(N); }
+  void reserve(size_t N) override {
+    Data.reserve(N);
+    Index.reserve(N);
+  }
 
   size_t memoryFootprint() const override {
     return sizeof(*this) + Data.capacity() * sizeof(T) +

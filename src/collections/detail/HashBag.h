@@ -5,9 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A chained-hash multiset used as the lookup index of HashArrayList —
-/// the paper's "ArrayList + HashBag for faster lookups" variant (Table 2).
-/// Internal to the collections library; not part of the public API.
+/// A chained-hash multiset used as the lookup index of HashArrayList and
+/// of AdaptiveList once it migrates — the paper's "ArrayList + HashBag for
+/// faster lookups" variant (Table 2). Internal to the collections library;
+/// not part of the public API.
+///
+/// The chains are threaded through one contiguous node array by 32-bit
+/// indices, so adding a distinct value costs no allocation of its own:
+/// the array grows with the bucket table, and a rehash only relinks.
+/// Dropping a value's last occurrence moves the array's last node into
+/// the hole (DESIGN.md §16).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,17 +26,21 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace cswitch {
 namespace detail {
 
-/// A multiset of T backed by a chained hash table of (value, count) nodes.
+/// A multiset of T backed by a chained hash table of (value, count) nodes
+/// pooled in one array.
 template <typename T, typename Hash = DefaultHash<T>> class HashBag {
+  /// Node links are 1-based indices into Nodes; 0 ends a chain.
   struct Node {
     T Value;
     uint32_t Count;
-    Node *Next;
+    uint32_t Next;
   };
 
 public:
@@ -38,104 +49,121 @@ public:
   HashBag(const HashBag &) = delete;
   HashBag &operator=(const HashBag &) = delete;
 
-  ~HashBag() { clear(); }
-
   /// Adds one occurrence of \p Value.
   void addOne(const T &Value) {
-    if (Buckets.empty())
+    if (Heads.empty())
       rehash(InitialBuckets);
-    size_t Index = bucketIndex(Value);
-    for (Node *N = Buckets[Index]; N; N = N->Next) {
-      if (N->Value == Value) {
-        ++N->Count;
+    uint32_t &Head = Heads[bucketIndex(Value)];
+    for (uint32_t I = Head; I; I = Nodes[I - 1].Next) {
+      if (Nodes[I - 1].Value == Value) {
+        ++Nodes[I - 1].Count;
         return;
       }
     }
-    Node *N = newCounted<Node>(Node{Value, 1, Buckets[Index]});
-    Buckets[Index] = N;
-    ++DistinctCount;
-    if (DistinctCount * 4 > Buckets.size() * 3)
-      rehash(Buckets.size() * 2);
+    assert(Nodes.size() < std::numeric_limits<uint32_t>::max() &&
+           "node index overflows 32 bits");
+    Nodes.push_back(Node{Value, 1, Head});
+    Head = static_cast<uint32_t>(Nodes.size());
+    if (Nodes.size() * 4 > Heads.size() * 3)
+      rehash(Heads.size() * 2);
   }
 
   /// Removes one occurrence of \p Value; returns false if absent.
   bool removeOne(const T &Value) {
-    if (Buckets.empty())
+    if (Heads.empty())
       return false;
-    size_t Index = bucketIndex(Value);
-    Node **Link = &Buckets[Index];
-    while (Node *N = *Link) {
-      if (N->Value == Value) {
-        if (--N->Count == 0) {
-          *Link = N->Next;
-          deleteCounted(N);
-          --DistinctCount;
+    uint32_t *Link = &Heads[bucketIndex(Value)];
+    while (uint32_t I = *Link) {
+      Node &N = Nodes[I - 1];
+      if (N.Value == Value) {
+        if (--N.Count == 0) {
+          *Link = N.Next;
+          eraseUnlinked(I);
         }
         return true;
       }
-      Link = &N->Next;
+      Link = &N.Next;
     }
     return false;
   }
 
   /// Returns true if at least one occurrence of \p Value is present.
   bool contains(const T &Value) const {
-    if (Buckets.empty())
+    if (Heads.empty())
       return false;
-    for (const Node *N = Buckets[bucketIndex(Value)]; N; N = N->Next)
-      if (N->Value == Value)
+    for (uint32_t I = Heads[bucketIndex(Value)]; I; I = Nodes[I - 1].Next)
+      if (Nodes[I - 1].Value == Value)
         return true;
     return false;
   }
 
+  /// Sizes the table for \p N distinct values, so that adding them
+  /// neither rehashes nor grows the node array.
+  void reserve(size_t N) {
+    size_t Buckets = nextPowerOfTwo((N * 4 + 2) / 3);
+    if (Buckets < InitialBuckets)
+      Buckets = InitialBuckets;
+    if (Buckets > Heads.size())
+      rehash(Buckets);
+  }
+
   /// Number of distinct values held.
-  size_t distinctSize() const { return DistinctCount; }
+  size_t distinctSize() const { return Nodes.size(); }
 
   /// Removes everything and releases the table.
   void clear() {
-    for (Node *Head : Buckets) {
-      while (Head) {
-        Node *Next = Head->Next;
-        deleteCounted(Head);
-        Head = Next;
-      }
-    }
-    Buckets.clear();
-    Buckets.shrink_to_fit();
-    DistinctCount = 0;
+    Nodes.clear();
+    Nodes.shrink_to_fit();
+    Heads.clear();
+    Heads.shrink_to_fit();
   }
 
-  /// Bytes owned by the bag (bucket array + nodes), excluding sizeof(*this).
+  /// Bytes owned by the bag (bucket heads + node array), excluding
+  /// sizeof(*this).
   size_t memoryFootprint() const {
-    return Buckets.capacity() * sizeof(Node *) +
-           DistinctCount * sizeof(Node);
+    return Heads.capacity() * sizeof(uint32_t) +
+           Nodes.capacity() * sizeof(Node);
   }
 
 private:
   static constexpr size_t InitialBuckets = 16;
 
   size_t bucketIndex(const T &Value) const {
-    return Hash{}(Value) & (Buckets.size() - 1);
+    return Hash{}(Value) & (Heads.size() - 1);
   }
 
+  /// Rebuilds the chains over \p NewBucketCount buckets. Nodes keep their
+  /// indices; the node array is sized to the new load limit.
   void rehash(size_t NewBucketCount) {
     assert((NewBucketCount & (NewBucketCount - 1)) == 0 &&
            "bucket count must be a power of two");
-    std::vector<Node *, CountingAllocator<Node *>> Old(std::move(Buckets));
-    Buckets.assign(NewBucketCount, nullptr);
-    for (Node *Head : Old) {
-      while (Head) {
-        Node *Next = Head->Next;
-        size_t Index = Hash{}(Head->Value) & (NewBucketCount - 1);
-        Head->Next = Buckets[Index];
-        Buckets[Index] = Head;
-        Head = Next;
-      }
+    Heads.assign(NewBucketCount, 0);
+    Nodes.reserve(NewBucketCount / 4 * 3);
+    for (size_t I = 0; I != Nodes.size(); ++I) {
+      uint32_t &Head = Heads[bucketIndex(Nodes[I].Value)];
+      Nodes[I].Next = Head;
+      Head = static_cast<uint32_t>(I + 1);
     }
   }
 
-  std::vector<Node *, CountingAllocator<Node *>> Buckets;
-  size_t DistinctCount = 0;
+  /// Frees slot \p I (1-based), already unlinked from its chain, by moving
+  /// the last node into it and repointing the one link to that node.
+  void eraseUnlinked(uint32_t I) {
+    auto Last = static_cast<uint32_t>(Nodes.size());
+    if (I != Last) {
+      uint32_t *Link = &Heads[bucketIndex(Nodes[Last - 1].Value)];
+      while (*Link != Last) {
+        assert(*Link && "last node missing from its chain");
+        Link = &Nodes[*Link - 1].Next;
+      }
+      *Link = I;
+      Nodes[I - 1] = std::move(Nodes[Last - 1]);
+    }
+    Nodes.pop_back();
+  }
+
+  std::vector<Node, CountingAllocator<Node>> Nodes;
+  std::vector<uint32_t, CountingAllocator<uint32_t>> Heads;
 };
 
 } // namespace detail
