@@ -23,8 +23,11 @@
 // bm_hash_bag times the lookup index of HashArrayList and AdaptiveList
 // (collections/detail/HashBag.h) per operation: building a bag of n
 // distinct keys one addOne at a time and destroying it, as an index does
-// over a list's life; contains over a 22%-hit mix; and removeOne of every
-// key in shuffled order, which times the removals only.
+// over a list's life; contains over a 22%-hit mix; removeOne of every
+// key in shuffled order, which times the removals only; and h2's
+// IndexCursor loop (apps/H2Sim.cpp): a bag of n values drawn from
+// [0, 4n), with n from h2's bimodal sizes, then 1000 probes drawn from
+// the same range (about 75% miss), timed together and reported per probe.
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,7 +157,10 @@ void bmFlatScan(benchmark::State &State) {
                 (Shuffled ? " shuffled" : " in order"));
 }
 
-enum class BagOp { Build, Contains, Remove };
+/// Probes per IndexCursor in h2 (apps/H2Sim.cpp).
+constexpr size_t H2ProbesPerCursor = 1000;
+
+enum class BagOp { Build, Contains, Remove, H2Probe };
 
 void bmHashBag(benchmark::State &State) {
   auto Op = static_cast<BagOp>(State.range(0));
@@ -172,7 +178,26 @@ void bmHashBag(benchmark::State &State) {
     return Elapsed;
   };
 
-  if (Op == BagOp::Contains) {
+  // Operations timed per iteration; ns_per_op divides by it.
+  size_t OpsPerIteration = Op == BagOp::H2Probe ? H2ProbesPerCursor : N;
+
+  if (Op == BagOp::H2Probe) {
+    for (auto _ : State) {
+      size_t Size = Rng.nextBelow(7) == 0 ? 250 + Rng.nextBelow(251)
+                                          : 10 + Rng.nextBelow(111);
+      auto Start = Clock::now();
+      {
+        detail::HashBag<int64_t> Bag;
+        for (size_t I = 0; I != Size; ++I)
+          Bag.addOne(static_cast<int64_t>(Rng.nextBelow(Size * 4)));
+        size_t Hits = 0;
+        for (size_t Probe = 0; Probe != H2ProbesPerCursor; ++Probe)
+          Hits += Bag.contains(static_cast<int64_t>(Rng.nextBelow(Size * 4)));
+        benchmark::DoNotOptimize(Hits);
+      }
+      State.SetIterationTime(Seconds(Start));
+    }
+  } else if (Op == BagOp::Contains) {
     detail::HashBag<int64_t> Bag;
     for (int64_t K : Keys)
       Bag.addOne(K);
@@ -215,9 +240,10 @@ void bmHashBag(benchmark::State &State) {
   }
   State.counters["ns_per_op"] =
       Total * 1e9 /
-      (static_cast<double>(N) * static_cast<double>(State.iterations()));
+      (static_cast<double>(OpsPerIteration) *
+       static_cast<double>(State.iterations()));
   static const char *const Names[] = {"build", "contains 22% hit",
-                                      "removeOne"};
+                                      "removeOne", "h2 build + probes"};
   State.SetLabel(Names[static_cast<int>(Op)]);
 }
 
@@ -228,6 +254,11 @@ void registerAll() {
           ->Args({static_cast<int64_t>(Op), N})
           ->UseManualTime()
           ->MinTime(0.05);
+  // The h2 case draws its own sizes; its n argument is unused.
+  benchmark::RegisterBenchmark("bm_hash_bag", bmHashBag)
+      ->Args({static_cast<int64_t>(BagOp::H2Probe), 0})
+      ->UseManualTime()
+      ->MinTime(0.2);
 
   for (int64_t Shuffled : {0, 1})
     for (int64_t Kernel : {0, 1})

@@ -278,6 +278,128 @@ TEST(HashBag, ReserveBuildsWithoutFurtherAllocation) {
     ASSERT_TRUE(Bag.contains(I * 7));
 }
 
+// The bag's hash splits into a 7-bit tag (the low bits, kept in the
+// slot's control byte) and a start position (the bits above). The hashes
+// below pin one part or the other.
+
+/// Every value gets tag 0: only value comparison tells them apart.
+struct ConstantTagHash {
+  uint64_t operator()(int64_t V) const {
+    return mix64(static_cast<uint64_t>(V)) << 7;
+  }
+};
+
+/// Every probe starts at slot 13, so at capacity 16 the first group
+/// covers slots 13..15 and 0..4 through the cloned control bytes.
+struct ConstantStartHash {
+  uint64_t operator()(int64_t V) const {
+    return (uint64_t{13} << 7) | (mix64(static_cast<uint64_t>(V)) & 0x7f);
+  }
+};
+
+/// The value is its own hash, so a test picks tag and start directly.
+struct IdentityHash {
+  uint64_t operator()(int64_t V) const { return static_cast<uint64_t>(V); }
+};
+
+TEST(HashBag, ConstantTagLeavesValueComparisonToDecide) {
+  HashBag<int64_t, ConstantTagHash> Bag;
+  std::unordered_map<int64_t, int> Ref;
+  for (int64_t I = 0; I != 300; ++I) {
+    Bag.addOne(I * 3);
+    ++Ref[I * 3];
+    if (I % 4 == 0) {
+      Bag.addOne(I * 3);
+      ++Ref[I * 3];
+    }
+  }
+  expectMatches(Bag, Ref, 900);
+  for (int64_t I = 0; I < 300; I += 2)
+    removeEach(Bag, Ref, {I * 3}, 900);
+  expectMatches(Bag, Ref, 900);
+  EXPECT_FALSE(Bag.removeOne(1));
+}
+
+TEST(HashBag, ConstantStartWrapsThroughClonedControlBytes) {
+  HashBag<int64_t, ConstantStartHash> Small;
+  Small.addOne(-1);
+  size_t FootprintAt16 = Small.memoryFootprint();
+
+  HashBag<int64_t, ConstantStartHash> Bag;
+  std::unordered_map<int64_t, int> Ref;
+  // 12 values fill capacity 16 to its load limit: slots 13..15 and 0..4
+  // (the first group, read across the end), then 5..8 (the second).
+  for (int64_t I = 0; I != 12; ++I) {
+    Bag.addOne(I);
+    ++Ref[I];
+  }
+  ASSERT_EQ(Bag.memoryFootprint(), FootprintAt16);
+  expectMatches(Bag, Ref, 40);
+  // Holes in both groups, refilled by new values and re-found.
+  removeEach(Bag, Ref, {0, 3, 7, 11}, 40);
+  for (int64_t V : {20, 21, 22, 23}) {
+    Bag.addOne(V);
+    ++Ref[V];
+  }
+  ASSERT_EQ(Bag.memoryFootprint(), FootprintAt16);
+  expectMatches(Bag, Ref, 40);
+  // Growth re-places everything from the same start.
+  for (int64_t I = 24; I != 40; ++I) {
+    Bag.addOne(I);
+    ++Ref[I];
+  }
+  EXPECT_GT(Bag.memoryFootprint(), FootprintAt16);
+  expectMatches(Bag, Ref, 40);
+  while (!Ref.empty())
+    removeEach(Bag, Ref, {Ref.begin()->first}, 40);
+}
+
+TEST(HashBag, AdjacentTagsDifferingInLowestBitAreNotConfused) {
+  // Tags 4 and 5 start at slot 0 and land in lanes 0 and 1. A lookup
+  // for tag 4 matches lane 0 and, by the byte match's borrow, lane 1
+  // too; neither holds the value looked for.
+  constexpr int64_t Tag4 = 4, Tag5 = 5;
+  constexpr int64_t AbsentTag4 = (int64_t{1} << 11) | 4; // start 0, tag 4
+  constexpr int64_t AbsentTag5 = (int64_t{1} << 11) | 5; // start 0, tag 5
+  HashBag<int64_t, IdentityHash> Bag;
+  Bag.addOne(Tag4);
+  Bag.addOne(Tag5);
+  EXPECT_TRUE(Bag.contains(Tag4));
+  EXPECT_TRUE(Bag.contains(Tag5));
+  EXPECT_FALSE(Bag.contains(AbsentTag4));
+  EXPECT_FALSE(Bag.removeOne(AbsentTag4));
+  EXPECT_FALSE(Bag.contains(AbsentTag5));
+  EXPECT_FALSE(Bag.removeOne(AbsentTag5));
+  EXPECT_EQ(Bag.distinctSize(), 2u);
+  // The lane-1 value is still found and removed by its own tag.
+  EXPECT_TRUE(Bag.removeOne(Tag5));
+  EXPECT_FALSE(Bag.contains(Tag5));
+  EXPECT_TRUE(Bag.contains(Tag4));
+  EXPECT_FALSE(Bag.contains(AbsentTag4));
+}
+
+TEST(HashBag, ChurnPurgesDeletedSlotsInsteadOfGrowing) {
+  HashBag<int64_t> Grown;
+  for (int64_t I = 0; I != 80; ++I)
+    Grown.addOne(I);
+  size_t Limit = Grown.memoryFootprint();
+
+  // 40 live distinct values throughout: each cycle drops the oldest and
+  // adds a new one, leaving a deleted slot behind.
+  constexpr int64_t LiveCount = 40;
+  HashBag<int64_t> Bag;
+  for (int64_t I = 0; I != LiveCount; ++I)
+    Bag.addOne(I);
+  for (int64_t I = 0; I != 100000; ++I) {
+    ASSERT_TRUE(Bag.removeOne(I));
+    Bag.addOne(I + LiveCount);
+    ASSERT_LE(Bag.memoryFootprint(), Limit) << I;
+  }
+  EXPECT_EQ(Bag.distinctSize(), static_cast<size_t>(LiveCount));
+  for (int64_t V = 100000 - 8; V != 100000 + LiveCount + 8; ++V)
+    ASSERT_EQ(Bag.contains(V), V >= 100000 && V < 100000 + LiveCount) << V;
+}
+
 /// Drives \p L and a std::vector through the same seeded mutations and
 /// checks contents, order and membership against each other.
 void differentialAgainstVector(ListImpl<int64_t> &L,

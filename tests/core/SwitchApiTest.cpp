@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "WaitUntil.h"
 #include "core/Switch.h"
 #include "model/DefaultModel.h"
 #include "support/MetricsExport.h"
@@ -240,8 +241,7 @@ TEST(SwitchApi, ReporterEmitsPeriodically) {
   Engine.setReporter(std::move(Options));
   EXPECT_EQ(Engine.reportsEmitted(), 0u);
   Engine.start(std::chrono::milliseconds(1));
-  for (int Spin = 0; Spin != 500 && Engine.reportsEmitted() < 2; ++Spin)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  waitUntil([&Engine] { return Engine.reportsEmitted() >= 2; });
   Engine.stop();
   EXPECT_GE(Engine.reportsEmitted(), 2u);
   EXPECT_EQ(SinkCalls.load(), Engine.reportsEmitted());

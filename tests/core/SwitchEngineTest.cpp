@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "WaitUntil.h"
 #include "core/Switch.h"
 #include "model/DefaultModel.h"
 
@@ -90,8 +91,7 @@ TEST(SwitchEngine, BackgroundThreadEvaluatesPeriodically) {
   Engine.start(std::chrono::milliseconds(5));
   EXPECT_TRUE(Engine.isRunning());
   // The paper's monitoring-rate task should pick the transition up.
-  for (int Spin = 0; Spin != 200 && Ctx.switchCount() == 0; ++Spin)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  waitUntil([&Ctx] { return Ctx.switchCount() != 0; });
   Engine.stop();
   EXPECT_FALSE(Engine.isRunning());
   EXPECT_EQ(Ctx.switchCount(), 1u);
@@ -128,7 +128,9 @@ TEST(SwitchEngine, ConcurrentCreationWhileEvaluating) {
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  waitUntil([&Ctx] {
+    return Ctx.instancesCreated() > 100 && Ctx.evaluationCount() > 0;
+  });
   Stop.store(true);
   for (std::thread &W : Workers)
     W.join();

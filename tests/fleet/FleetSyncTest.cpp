@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +61,11 @@ FleetSyncOptions fastSync() {
 /// name carries the process id: ctest runs every test of this suite as
 /// its own process in the same directory, and two endpoints sharing a
 /// store would merge each other's pushes.
+///
+/// The endpoint also serves this process's live contexts, and when the
+/// whole suite runs as one process, earlier tests leave contexts on the
+/// global engine. pull() drops the sites served before anything was
+/// pushed, so a test sees only what the store received.
 class FleetEndpoint {
 public:
   explicit FleetEndpoint(size_t MaxPushBytes = 4u << 20) {
@@ -76,6 +82,11 @@ public:
     EXPECT_TRUE(Switch::loadStore(StorePath));
     Port = Switch::serveMetrics(0);
     EXPECT_NE(Port, 0);
+    std::vector<StoreSite> Resident;
+    std::string Error;
+    EXPECT_TRUE(pullStore(url(), Resident, fastSync(), &Error)) << Error;
+    for (const StoreSite &Site : Resident)
+      ResidentNames.insert(Site.Name);
   }
 
   ~FleetEndpoint() {
@@ -90,7 +101,19 @@ public:
     return "http://127.0.0.1:" + std::to_string(Port) + "/store";
   }
 
+  /// pullStore() without the sites other tests' contexts contribute.
+  bool pull(std::vector<StoreSite> &Sites, const FleetSyncOptions &Options,
+            std::string *Error) const {
+    if (!pullStore(url(), Sites, Options, Error))
+      return false;
+    std::erase_if(Sites, [this](const StoreSite &Site) {
+      return ResidentNames.count(Site.Name) != 0;
+    });
+    return true;
+  }
+
 private:
+  std::set<std::string> ResidentNames;
   std::string StorePath;
   uint16_t Port = 0;
 };
@@ -127,8 +150,7 @@ TEST(FleetSync, StoreRoundTripsOverHttp) {
   // A fresh replica serves an empty document.
   std::vector<StoreSite> Pulled;
   std::string Error;
-  ASSERT_TRUE(pullStore(Endpoint.url(), Pulled, fastSync(), &Error))
-      << Error;
+  ASSERT_TRUE(Endpoint.pull(Pulled, fastSync(), &Error)) << Error;
   EXPECT_TRUE(Pulled.empty());
 
   // Push two sites; the peer flock-merges them into its store.
@@ -139,8 +161,7 @@ TEST(FleetSync, StoreRoundTripsOverHttp) {
 
   // The merged knowledge is served back: both sites present, decisions
   // taken from the pushing side (the local replica had no entries).
-  ASSERT_TRUE(pullStore(Endpoint.url(), Pulled, fastSync(), &Error))
-      << Error;
+  ASSERT_TRUE(Endpoint.pull(Pulled, fastSync(), &Error)) << Error;
   ASSERT_EQ(Pulled.size(), 2u);
   EXPECT_EQ(Pulled[0].Name, "svc/A.cpp:10");
   EXPECT_EQ(Pulled[0].Decision, 1u);
@@ -198,7 +219,7 @@ TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
   // in the merged document exactly once.
   std::vector<StoreSite> Final;
   std::string Error;
-  ASSERT_TRUE(pullStore(Endpoint.url(), Final, Patient, &Error)) << Error;
+  ASSERT_TRUE(Endpoint.pull(Final, Patient, &Error)) << Error;
   ASSERT_EQ(Final.size(), 3u);
   EXPECT_EQ(Final[0].Name, "common/hot.cpp:7");
   EXPECT_EQ(Final[1].Name, "writer-a/shared.cpp:1");
@@ -220,8 +241,7 @@ TEST(FleetSync, OversizedPushIsRefusedBeforeMerge) {
 
   // Nothing was merged; the store still serves the empty document.
   std::vector<StoreSite> Pulled;
-  ASSERT_TRUE(pullStore(Endpoint.url(), Pulled, fastSync(), &Error))
-      << Error;
+  ASSERT_TRUE(Endpoint.pull(Pulled, fastSync(), &Error)) << Error;
   EXPECT_TRUE(Pulled.empty());
 
   FleetStats Delta = FleetRegistry::global().stats() - Before;
