@@ -60,7 +60,7 @@ struct ContentionPolicy {
   /// concurrent contexts. When false, concurrent variants compete on
   /// their single-threaded polynomials alone.
   bool Enabled = true;
-  /// Shards of the lock-striped variants. 0 = auto: the hardware
+  /// Shards of the lock-striped variants. 0 = auto: 4 x the hardware
   /// concurrency rounded up to a power of two, clamped to [1, 64].
   /// Explicit values are clamped and rounded the same way.
   size_t Shards = 0;

@@ -27,13 +27,20 @@ namespace concurrent {
 /// footprint (64 shards x one cache line of mutex + table header).
 inline constexpr size_t MaxShards = 64;
 
+/// Shards per hardware thread under the auto rule. With one shard per
+/// thread, threads hitting Zipf-skewed keys meet on a shard lock often
+/// enough to park in the futex; four per thread keep that rare while
+/// the footprint stays within a few percent (DESIGN.md §11.3).
+inline constexpr size_t AutoShardsPerThread = 4;
+
 /// Rounds \p Requested to the shard count actually used: the next power
-/// of two, clamped to [1, MaxShards]. 0 = auto (hardware concurrency).
+/// of two, clamped to [1, MaxShards]. 0 = auto (AutoShardsPerThread x
+/// hardware concurrency).
 inline size_t resolveShardCount(size_t Requested) {
   size_t Want = Requested;
   if (Want == 0) {
     unsigned Hardware = std::thread::hardware_concurrency();
-    Want = Hardware ? Hardware : 1;
+    Want = AutoShardsPerThread * (Hardware ? Hardware : 1);
   }
   if (Want > MaxShards)
     Want = MaxShards;

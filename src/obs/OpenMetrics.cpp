@@ -313,12 +313,11 @@ cswitch::obs::renderOpenMetrics(const TelemetrySnapshot &Snapshot,
   familyHeader(Out, "cswitch_node_events_dropped", "counter",
                "Decision events lost to ring wrap-around, per node ring.");
   for (size_t Node = 0; Node != Snapshot.Events.NodeDropped.size(); ++Node) {
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf),
-                  "cswitch_node_events_dropped_total{node=\"%zu\"} %" PRIu64
-                  "\n",
-                  Node, Snapshot.Events.NodeDropped[Node]);
-    Out += Buf;
+    Out += "cswitch_node_events_dropped_total{node=\"";
+    Out += std::to_string(Node);
+    Out += "\"} ";
+    Out += std::to_string(Snapshot.Events.NodeDropped[Node]);
+    Out += '\n';
   }
 
   // Per-context monitoring counters, labelled by site.

@@ -9,12 +9,13 @@
 /// A sequential facade is owned by one thread, so its profile is plain
 /// data; a concurrent-tier facade is hammered from many threads, and a
 /// plain profile would be both racy and a cache-line hot spot. The
-/// SharedProfile stripes the per-operation counters per NUMA node
-/// (exactly like StripedCounters), maintains the maximum size as a
-/// CAS-max, and forwards every operation to the owning context's
-/// ContentionSketch so the contention signal sees the instance's
-/// threads. The facade destructor collapses it into an ordinary
-/// WorkloadProfile before reporting (DESIGN.md §11).
+/// SharedProfile stripes the per-operation counters per cpu (so no two
+/// running threads write one line, even on a one-node machine),
+/// maintains the maximum size as a CAS-max, and forwards every
+/// operation to the owning context's ContentionSketch so the
+/// contention signal sees the instance's threads. The facade
+/// destructor collapses it into an ordinary WorkloadProfile before
+/// reporting (DESIGN.md §11).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,20 +32,20 @@
 
 namespace cswitch {
 
-/// Thread-safe, NUMA-striped workload profile for concurrent facades.
+/// Thread-safe, cpu-striped workload profile for concurrent facades.
 class SharedProfile {
 public:
   /// \p Sketch, when non-null, additionally observes every recorded
   /// operation (it outlives the profile: the owning context holds it).
-  /// \p Stripes = 0 means one stripe per NUMA node.
+  /// \p Stripes = 0 means cpuStripeCount() stripes.
   explicit SharedProfile(ContentionSketch *Sketch = nullptr,
                          unsigned Stripes = 0)
-      : NumStripes(Stripes ? Stripes : Topology::system().nodeCount()),
+      : NumStripes(Stripes ? Stripes : cpuStripeCount()),
         Lanes(std::make_unique<Stripe[]>(NumStripes)), Sketch(Sketch) {}
 
   /// Increments the counter of \p Kind on the calling thread's stripe.
   void record(OperationKind Kind, uint64_t N = 1) {
-    Lanes[currentStripe(NumStripes)]
+    Lanes[currentCpuStripe(NumStripes)]
         .Counts[static_cast<size_t>(Kind)]
         .fetch_add(N, std::memory_order_relaxed);
     if (Sketch)

@@ -180,6 +180,8 @@ std::vector<unsigned> Topology::cpusOfNode(unsigned Node) const {
   return Out;
 }
 
+unsigned cswitch::currentCpu() { return cachedCurrentCpu(); }
+
 unsigned Topology::currentNode() const {
   if (Nodes <= 1)
     return 0;

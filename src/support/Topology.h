@@ -10,7 +10,9 @@
 /// histograms, registry shards) are all write-heavy and read-rarely;
 /// striping them per NUMA node keeps the cache lines they hammer local
 /// to the writing socket and turns cross-node contention into a
-/// merge-at-snapshot cost on the cold read path (DESIGN.md §10).
+/// merge-at-snapshot cost on the cold read path (DESIGN.md §10). The
+/// concurrent tier's per-operation structures stripe per cpu instead
+/// (currentCpuStripe), so that threads of one node do not share a line.
 ///
 /// Detection reads `/sys/devices/system/node/node*/cpulist` and degrades
 /// to a single node when sysfs is absent (non-Linux, containers with a
@@ -25,7 +27,9 @@
 #ifndef CSWITCH_SUPPORT_TOPOLOGY_H
 #define CSWITCH_SUPPORT_TOPOLOGY_H
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -109,6 +113,30 @@ inline unsigned currentStripe(unsigned NumStripes) {
   if (NumStripes <= 1)
     return 0;
   return Topology::system().currentNode() % NumStripes;
+}
+
+/// The cpu the calling thread runs on (sched_getcpu, cached in a
+/// thread-local and refreshed every ~1024 calls; 0 off Linux).
+unsigned currentCpu();
+
+/// Stripe index of the calling thread for a per-operation structure
+/// with \p NumStripes stripes: the current cpu modulo \p NumStripes.
+/// Threads running at the same moment are on different cpus, so with
+/// cpuStripeCount() stripes (and dense cpu ids) they never share a line
+/// however many threads there are; a migrated thread writes its old
+/// cpu's stripe until the next refresh, which is a relaxed atomic like
+/// any other.
+inline unsigned currentCpuStripe(unsigned NumStripes) {
+  if (NumStripes <= 1)
+    return 0;
+  return currentCpu() % NumStripes;
+}
+
+/// Default stripe count of the per-operation structures
+/// (SharedProfile, ContentionSketch): the cpu count rounded up to a
+/// power of two, clamped to [1, 64].
+inline unsigned cpuStripeCount() {
+  return std::bit_ceil(std::clamp(Topology::system().cpuCount(), 1u, 64u));
 }
 
 /// A small fixed set of per-node-striped uint64 counters. add() is a

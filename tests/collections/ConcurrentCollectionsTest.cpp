@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -172,10 +173,12 @@ TEST(ConcurrentCollections, ResolveShardCountRoundsAndClamps) {
   EXPECT_EQ(concurrent::resolveShardCount(3), 4u);
   EXPECT_EQ(concurrent::resolveShardCount(64), 64u);
   EXPECT_EQ(concurrent::resolveShardCount(1000), concurrent::MaxShards);
-  size_t Auto = concurrent::resolveShardCount(0);
-  EXPECT_GE(Auto, 1u);
-  EXPECT_LE(Auto, concurrent::MaxShards);
-  EXPECT_EQ(Auto & (Auto - 1), 0u) << "shard counts are powers of two";
+  // Auto: min(64, pow2(4 x hardware concurrency)).
+  size_t Want = 4 * std::max(1u, std::thread::hardware_concurrency());
+  size_t Expected = 1;
+  while (Expected < Want && Expected < 64)
+    Expected *= 2;
+  EXPECT_EQ(concurrent::resolveShardCount(0), Expected);
 }
 
 TEST(ConcurrentCollections, ShardEdgesOneAndMaxBehaveIdentically) {
@@ -236,6 +239,23 @@ TEST(ContentionSketch, EstimatesDistinctThreads) {
   double Crowd = Sketch.estimateThreads();
   EXPECT_GE(Crowd, 2.0);
   EXPECT_LE(Crowd, 8.0);
+}
+
+TEST(ContentionSketch, CountsEveryOperationFromEightThreads) {
+  ContentionSketch Sketch;
+  std::vector<std::thread> Workers;
+  for (uint64_t T = 0; T != 8; ++T)
+    Workers.emplace_back([&Sketch, T] {
+      for (int I = 0; I != 5000; ++I)
+        Sketch.observe(T + 1);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  // Threads 1..8 recorded 5000 observations of their ordinal each.
+  EXPECT_EQ(Sketch.operations(), 5000u * (8 * 9 / 2));
+  double Crowd = Sketch.estimateThreads();
+  EXPECT_GE(Crowd, 2.0);
+  EXPECT_LE(Crowd, 16.0);
 }
 
 //===--------------------------------------------------------------------===//

@@ -56,6 +56,14 @@ FleetSyncOptions fastSync() {
       .backoffBase(std::chrono::milliseconds(1));
 }
 
+/// Options for requests that must succeed against the loopback
+/// endpoint. On a loaded machine a request can wait well past
+/// fastSync()'s 2 s, and these tests are about the exchange, not the
+/// timeout, so they allow 60 s.
+FleetSyncOptions patientSync() {
+  return fastSync().requestTimeout(std::chrono::seconds(60));
+}
+
 /// One live engine endpoint serving /store on an ephemeral loopback
 /// port, with a scratch store file, torn down on scope exit. The file
 /// name carries the process id: ctest runs every test of this suite as
@@ -84,7 +92,7 @@ public:
     EXPECT_NE(Port, 0);
     std::vector<StoreSite> Resident;
     std::string Error;
-    EXPECT_TRUE(pullStore(url(), Resident, fastSync(), &Error)) << Error;
+    EXPECT_TRUE(pullStore(url(), Resident, patientSync(), &Error)) << Error;
     for (const StoreSite &Site : Resident)
       ResidentNames.insert(Site.Name);
   }
@@ -150,18 +158,18 @@ TEST(FleetSync, StoreRoundTripsOverHttp) {
   // A fresh replica serves an empty document.
   std::vector<StoreSite> Pulled;
   std::string Error;
-  ASSERT_TRUE(Endpoint.pull(Pulled, fastSync(), &Error)) << Error;
+  ASSERT_TRUE(Endpoint.pull(Pulled, patientSync(), &Error)) << Error;
   EXPECT_TRUE(Pulled.empty());
 
   // Push two sites; the peer flock-merges them into its store.
   std::vector<StoreSite> Pushed = {makeSite("svc/A.cpp:10", 1, 3),
                                    makeSite("svc/B.cpp:20", 2, 5)};
-  ASSERT_TRUE(pushStore(Endpoint.url(), Pushed, fastSync(), &Error))
+  ASSERT_TRUE(pushStore(Endpoint.url(), Pushed, patientSync(), &Error))
       << Error;
 
   // The merged knowledge is served back: both sites present, decisions
   // taken from the pushing side (the local replica had no entries).
-  ASSERT_TRUE(Endpoint.pull(Pulled, fastSync(), &Error)) << Error;
+  ASSERT_TRUE(Endpoint.pull(Pulled, patientSync(), &Error)) << Error;
   ASSERT_EQ(Pulled.size(), 2u);
   EXPECT_EQ(Pulled[0].Name, "svc/A.cpp:10");
   EXPECT_EQ(Pulled[0].Decision, 1u);
@@ -182,14 +190,12 @@ TEST(FleetSync, StoreRoundTripsOverHttp) {
 // Two writers POSTing store documents while a reader pulls — every
 // request must complete and every pulled document must decode (the
 // server serializes handlers; the merge is atomic under the store's file
-// lock). The server answers the three clients one at a time, so on a
-// loaded machine a request can wait well past fastSync()'s timeout; this
-// test is about the merge, not the timeout, so it allows 60 s.
+// lock). The server answers the three clients one at a time, so each
+// request may wait for the other two (patientSync()).
 TEST(FleetSync, ConcurrentPushMergeWhileReaderPulls) {
   FleetEndpoint Endpoint;
   constexpr int RoundsPerWriter = 8;
-  const FleetSyncOptions Patient =
-      fastSync().requestTimeout(std::chrono::seconds(60));
+  const FleetSyncOptions Patient = patientSync();
 
   auto Writer = [&Endpoint, &Patient](const char *Prefix) {
     for (int Round = 0; Round != RoundsPerWriter; ++Round) {
@@ -241,7 +247,7 @@ TEST(FleetSync, OversizedPushIsRefusedBeforeMerge) {
 
   // Nothing was merged; the store still serves the empty document.
   std::vector<StoreSite> Pulled;
-  ASSERT_TRUE(Endpoint.pull(Pulled, fastSync(), &Error)) << Error;
+  ASSERT_TRUE(Endpoint.pull(Pulled, patientSync(), &Error)) << Error;
   EXPECT_TRUE(Pulled.empty());
 
   FleetStats Delta = FleetRegistry::global().stats() - Before;
@@ -256,7 +262,7 @@ TEST(FleetSync, MalformedPushAnswers400AndCountsRejection) {
   HttpResponse Response;
   std::string Error;
   ASSERT_TRUE(httpPost(Endpoint.url(), "not a store document", Response,
-                       fastSync(), &Error))
+                       patientSync(), &Error))
       << Error;
   EXPECT_EQ(Response.Status, 400);
   EXPECT_NE(Response.Body.find("merge failed"), std::string::npos);
@@ -270,7 +276,7 @@ TEST(FleetSync, OversizedResponseIsRejectedWithoutRetry) {
   FleetEndpoint Endpoint;
   std::vector<StoreSite> Pushed = {makeSite("svc/big.cpp:1", 1, 1)};
   std::string Error;
-  ASSERT_TRUE(pushStore(Endpoint.url(), Pushed, fastSync(), &Error))
+  ASSERT_TRUE(pushStore(Endpoint.url(), Pushed, patientSync(), &Error))
       << Error;
 
   FleetStats Before = FleetRegistry::global().stats();
@@ -328,7 +334,7 @@ TEST(FleetSync, StoreEndpointAbsentWithoutOptIn) {
   HttpResponse Response;
   std::string Error;
   ASSERT_TRUE(httpGet("http://127.0.0.1:" + std::to_string(Port) + "/store",
-                      Response, fastSync(), &Error))
+                      Response, patientSync(), &Error))
       << Error;
   EXPECT_EQ(Response.Status, 404);
   Switch::stopMetricsServer();

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -94,6 +95,17 @@ TEST(OpenMetrics, PerSiteSeriesEscapeTheSiteLabel) {
   EXPECT_NE(Text.find("cswitch_context_variant_info{site=\"bench\\\""
                       "quoted\\\"\",abstraction=\"list\",variant=\""
                       "ArrayList\"} 1\n"),
+            std::string::npos);
+}
+
+TEST(OpenMetrics, LargestDroppedCountRendersInFull) {
+  TelemetrySnapshot S = sampleSnapshot();
+  S.Events.NodeDropped = {UINT64_MAX, 7};
+  std::string Text = renderOpenMetrics(S, {});
+  EXPECT_NE(Text.find("cswitch_node_events_dropped_total{node=\"0\"} "
+                      "18446744073709551615\n"),
+            std::string::npos);
+  EXPECT_NE(Text.find("cswitch_node_events_dropped_total{node=\"1\"} 7\n"),
             std::string::npos);
 }
 

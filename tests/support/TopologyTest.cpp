@@ -16,6 +16,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -189,6 +190,17 @@ TEST(Topology, CurrentStripeFoldsToStructureWidth) {
   EXPECT_EQ(currentStripe(1), 0u);
   for (unsigned Width : {2u, 3u, 8u})
     EXPECT_LT(currentStripe(Width), Width);
+}
+
+TEST(Topology, CurrentCpuStripeFoldsToStructureWidth) {
+  EXPECT_EQ(currentCpuStripe(1), 0u);
+  for (unsigned Width : {2u, 3u, 8u, 64u})
+    EXPECT_LT(currentCpuStripe(Width), Width);
+  unsigned Stripes = cpuStripeCount();
+  EXPECT_GE(Stripes, 1u);
+  EXPECT_LE(Stripes, 64u);
+  EXPECT_EQ(Stripes & (Stripes - 1), 0u) << "a power of two";
+  EXPECT_GE(Stripes, std::min(Topology::system().cpuCount(), 64u));
 }
 
 TEST(StripedCounters, SingleStripeBehavesLikePlainCounters) {
