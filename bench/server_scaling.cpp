@@ -18,6 +18,11 @@
 // point, and the sharded pin beats the mutex pin by >= 2x throughput
 // at 8+ threads.
 //
+// Beside each auto run's whole-run throughput it reports the throughput
+// of the epochs that ran after the switch, so the auto/sharded gap
+// splits into the pre-switch epochs (mutex-serialized) and what the
+// auto path costs per operation once it is sharded.
+//
 // Emits BENCH_server.json (schema cswitch-server-v1).
 //
 // Usage: server_scaling [--ops N] [--epochs N] [--tenants N]
@@ -63,6 +68,35 @@ std::string trailJson(const std::vector<std::string> &Trail) {
   return Out;
 }
 
+std::string secondsJson(const std::vector<double> &Seconds) {
+  std::string Out = "[";
+  char Buf[32];
+  for (size_t I = 0; I != Seconds.size(); ++I) {
+    std::snprintf(Buf, sizeof(Buf), I ? ", %.6f" : "%.6f", Seconds[I]);
+    Out += Buf;
+  }
+  Out += ']';
+  return Out;
+}
+
+/// Throughput of \p R over the epochs that ran on the sharded map: an
+/// epoch's instances take the variant the previous epoch's evaluation
+/// left, so these are the epochs after the trail first reads
+/// ShardedHashMap. \p Epochs receives their number (0 if none).
+double postSwitchOpsPerSecond(const ServerRunResult &R, size_t OpsPerEpoch,
+                              size_t &Epochs) {
+  Epochs = 0;
+  double Seconds = 0.0;
+  for (size_t E = 1; E < R.EpochSeconds.size(); ++E) {
+    if (R.CacheVariantTrail[E - 1] != "ShardedHashMap")
+      continue;
+    ++Epochs;
+    Seconds += R.EpochSeconds[E];
+  }
+  return Seconds > 0.0 ? static_cast<double>(Epochs * OpsPerEpoch) / Seconds
+                       : 0.0;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -83,9 +117,10 @@ int main(int Argc, char **Argv) {
   std::printf("\nSession-server scaling: %zu tenants, %zu ops/thread x %zu "
               "epochs, Zipf %.2f\n",
               Base.Tenants, Base.OpsPerThread, Base.Epochs, Base.ZipfSkew);
-  std::printf("%7s | %12s %12s %7s | %12s %-14s %3s %8s\n", "threads",
-              "mutex op/s", "sharded op/s", "ratio", "auto op/s",
-              "auto variant", "sw", "est.thr");
+  std::printf("%7s | %12s %12s %7s | %12s %12s %6s %6s %-14s %3s %8s\n",
+              "threads", "mutex op/s", "sharded op/s", "ratio", "auto op/s",
+              "post-sw op/s", "a/s", "post/s", "auto variant", "sw",
+              "est.thr");
 
   const Concurrency Modes[] = {Concurrency::Mutex, Concurrency::Sharded,
                                Concurrency::Auto};
@@ -118,9 +153,15 @@ int main(int Argc, char **Argv) {
                     (unsigned long long)S.Switches);
       }
     }
-    std::printf("%7zu | %12.0f %12.0f %6.2fx | %12.0f %-14s %3zu %8.1f\n",
+    size_t PostEpochs = 0;
+    double PostOps = postSwitchOpsPerSecond(
+        *Auto, Threads * Base.OpsPerThread, PostEpochs);
+    std::printf("%7zu | %12.0f %12.0f %6.2fx | %12.0f %12.0f %5.0f%% %5.0f%% "
+                "%-14s %3zu %8.1f\n",
                 Threads, Ops[0], Ops[1], Ops[0] > 0 ? Ops[1] / Ops[0] : 0.0,
-                Ops[2], Auto->CacheVariant.c_str(), Auto->CacheSwitches,
+                Ops[2], PostOps, Ops[1] > 0 ? 100.0 * Ops[2] / Ops[1] : 0.0,
+                Ops[1] > 0 ? 100.0 * PostOps / Ops[1] : 0.0,
+                Auto->CacheVariant.c_str(), Auto->CacheSwitches,
                 Auto->ContendedThreads);
   }
 
@@ -184,6 +225,16 @@ int main(int Argc, char **Argv) {
         Auto.ContendedThreads);
     Json += Buf;
     Json += trailJson(Auto.CacheVariantTrail);
+    size_t PostEpochs = 0;
+    double PostOps = postSwitchOpsPerSecond(
+        Auto, Points[I].Threads * Base.OpsPerThread, PostEpochs);
+    std::snprintf(Buf, sizeof(Buf),
+                  ", \"auto_post_switch_ops_per_sec\": %.0f, "
+                  "\"auto_post_switch_epochs\": %zu, "
+                  "\"auto_epoch_seconds\": ",
+                  PostOps, PostEpochs);
+    Json += Buf;
+    Json += secondsJson(Auto.EpochSeconds);
     Json += I + 3 >= Points.size() ? "}\n" : "},\n";
   }
   Json += "  ],\n";

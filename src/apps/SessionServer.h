@@ -78,6 +78,9 @@ struct ServerRunResult {
   std::string CacheVariant;  ///< Final variant of the hot cache map.
   /// Cache variant at the end of each epoch (the switch trail).
   std::vector<std::string> CacheVariantTrail;
+  /// Wall-clock seconds of each epoch: its workers plus the retire and
+  /// evaluation sweep that end it (they sum to Seconds).
+  std::vector<double> EpochSeconds;
   /// Final smoothed thread estimate of the cache context.
   double ContendedThreads = 0.0;
   EngineStats Stats;         ///< Engine-stats interval over the run.

@@ -115,6 +115,7 @@ ServerRunResult cswitch::runSessionServerSim(const ServerRunConfig &Config) {
   EngineStats Before = Switch::stats();
   auto Start = std::chrono::steady_clock::now();
   for (size_t Epoch = 0; Epoch != Config.Epochs; ++Epoch) {
+    auto EpochStart = std::chrono::steady_clock::now();
     // Fresh instances pick up any strategy switch from the previous
     // epoch's evaluation; destroying them afterwards publishes their
     // shared profiles into the monitoring windows.
@@ -139,6 +140,8 @@ ServerRunResult cswitch::runSessionServerSim(const ServerRunConfig &Config) {
     SwitchEngine::global().evaluateAll();
     Result.CacheVariantTrail.push_back(mapVariantName(
         static_cast<MapVariant>(CacheCtx->currentVariantIndex())));
+    Result.EpochSeconds.push_back(std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - EpochStart).count());
   }
   auto End = std::chrono::steady_clock::now();
 

@@ -43,7 +43,8 @@ public:
   virtual V *getMutable(const K &Key) = 0;
   /// Copies the value of \p Key into \p Out; returns false if absent.
   /// Unlike get(), concurrent variants perform the copy under their
-  /// lock, so this is the race-free read of the concurrent tier.
+  /// lock (or, in ShardedHashMap, validate it against the shard's
+  /// seqlock), so this is the race-free read of the concurrent tier.
   virtual bool lookup(const K &Key, V &Out) const {
     const V *Found = get(Key);
     if (!Found)

@@ -15,7 +15,9 @@
 /// mutating and value-copying operations are safe to call from any
 /// thread. The pointer-returning MapImpl operations (get/getMutable)
 /// escape the lock and are only safe while no other thread mutates; use
-/// lookup() for a concurrent read.
+/// lookup() for a concurrent read. ShardedHashMap answers lookup() and
+/// containsKey() without its lock for seqlock-readable key and value
+/// types (DESIGN.md §11.4), with the same results.
 ///
 //===----------------------------------------------------------------------===//
 

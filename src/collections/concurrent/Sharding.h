@@ -15,7 +15,9 @@
 #define CSWITCH_COLLECTIONS_CONCURRENT_SHARDING_H
 
 #include "collections/AdaptiveConfig.h"
+#include "support/Topology.h"
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -64,6 +66,15 @@ inline size_t configuredShardCount() {
 inline size_t shardOfHash(uint64_t Hash, size_t Shards) {
   return (Hash >> 32) & (Shards - 1);
 }
+
+/// A size counter on a cache line of its own. The striped variants keep
+/// it out of line: every successful add or remove writes it, and beside
+/// the fields every operation reads (vptr, shard count, shard array) it
+/// would invalidate their line on every cpu. Out of line, the instance
+/// also stays the size its footprint has always reported.
+struct alignas(CacheLineBytes) LineCounter {
+  std::atomic<size_t> Value{0};
+};
 
 } // namespace concurrent
 } // namespace cswitch

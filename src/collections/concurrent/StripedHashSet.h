@@ -33,14 +33,15 @@ public:
   explicit StripedHashSetImpl(size_t Shards = 0)
       : NumShards(Shards ? concurrent::resolveShardCount(Shards)
                          : concurrent::configuredShardCount()),
-        Lanes(std::make_unique<Shard[]>(NumShards)) {}
+        Lanes(std::make_unique<Shard[]>(NumShards)),
+        Count(std::make_unique<concurrent::LineCounter>()) {}
 
   bool add(const T &Value) override {
     Shard &S = shardOf(Value);
     std::lock_guard<std::mutex> Lock(S.Mutex);
     bool Inserted = S.Table.insert(Value);
     if (Inserted)
-      Count.fetch_add(1, std::memory_order_relaxed);
+      Count->Value.fetch_add(1, std::memory_order_relaxed);
     return Inserted;
   }
 
@@ -55,18 +56,18 @@ public:
     std::lock_guard<std::mutex> Lock(S.Mutex);
     bool Erased = S.Table.erase(Value);
     if (Erased)
-      Count.fetch_sub(1, std::memory_order_relaxed);
+      Count->Value.fetch_sub(1, std::memory_order_relaxed);
     return Erased;
   }
 
   size_t size() const override {
-    return Count.load(std::memory_order_relaxed);
+    return Count->Value.load(std::memory_order_relaxed);
   }
 
   void clear() override {
     for (size_t I = 0; I != NumShards; ++I) {
       std::lock_guard<std::mutex> Lock(Lanes[I].Mutex);
-      Count.fetch_sub(Lanes[I].Table.size(), std::memory_order_relaxed);
+      Count->Value.fetch_sub(Lanes[I].Table.size(), std::memory_order_relaxed);
       Lanes[I].Table.clear();
     }
   }
@@ -118,7 +119,8 @@ private:
 
   const size_t NumShards;
   std::unique_ptr<Shard[]> Lanes;
-  std::atomic<size_t> Count{0};
+  /// Out of line (see concurrent::LineCounter).
+  std::unique_ptr<concurrent::LineCounter> Count;
 };
 
 } // namespace cswitch

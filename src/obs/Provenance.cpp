@@ -7,6 +7,7 @@
 #include "obs/Provenance.h"
 
 #include "support/MetricsExport.h"
+#include "support/OrderingFence.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -19,31 +20,6 @@
 
 using namespace cswitch;
 using namespace cswitch::obs;
-
-// TSan does not model std::atomic_thread_fence (GCC even rejects it
-// under -fsanitize=thread -Werror=tsan). Every slot field is atomic, so
-// the fences below are value-ordering devices only — no non-atomic
-// state is published through them — and can weaken to compiler fences
-// under the sanitizer without hiding any reportable race.
-#if defined(__SANITIZE_THREAD__)
-#define CSWITCH_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CSWITCH_TSAN 1
-#endif
-#endif
-
-namespace {
-
-inline void orderingFence(std::memory_order Order) {
-#ifdef CSWITCH_TSAN
-  std::atomic_signal_fence(Order);
-#else
-  std::atomic_thread_fence(Order);
-#endif
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Names

@@ -7,7 +7,8 @@
 /// \file
 /// Tests of the concurrent collection tier (DESIGN.md §11): linearizable
 /// operation smoke over the thread-safe implementations, snapshot
-/// isolation of the copy-on-write list, shard-count edges, the
+/// isolation of the copy-on-write list, shard-count edges, lock-free
+/// lookups of the sharded map and the reclamation behind them, the
 /// contention sketch, the contention cost dimension, and the
 /// Concurrency mode helpers. The multi-threaded tests double as the
 /// TSan surface of the tier (run in CI under -fsanitize=thread).
@@ -15,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "collections/Factory.h"
+#include "collections/concurrent/ReadSide.h"
 #include "collections/concurrent/ShardedHashMap.h"
 #include "collections/concurrent/Sharding.h"
 #include "collections/concurrent/SnapshotList.h"
@@ -22,12 +24,14 @@
 #include "core/Switch.h"
 #include "model/DefaultModel.h"
 #include "profile/ContentionSketch.h"
+#include "support/MemoryTracker.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -208,6 +212,311 @@ TEST(ConcurrentCollections, ShardEdgesOneAndMaxBehaveIdentically) {
       EXPECT_TRUE(Set.contains(V)) << Shards << " shards, value " << V;
     }
   }
+}
+
+//===--------------------------------------------------------------------===//
+// Lock-free lookups of ShardedHashMap (DESIGN.md §11.4)
+//===--------------------------------------------------------------------===//
+
+/// Cached values are (key << 20) | tag, so a reader can check that the
+/// value it found belongs to its key.
+constexpr unsigned ValueShift = 20;
+
+int64_t encodeValue(int64_t Key, int64_t Tag) {
+  return (Key << ValueShift) | Tag;
+}
+
+TEST(ConcurrentCollections, ShardedHashMapLookupsDuringRehashAndClear) {
+  using MapT = ShardedHashMapImpl<int64_t, int64_t>;
+  static_assert(MapT::LockFreeReads, "int64 keys and values read lock-free");
+  constexpr int64_t Stable = 256;     ///< Keys [0, Stable): never erased.
+  constexpr int64_t ChurnBase = 1 << 12;
+  constexpr int64_t Churn = 12000;    ///< Keys [ChurnBase, +Churn).
+  constexpr int Readers = 4;
+  MapT Map(4);
+  for (int64_t Key = 0; Key != Stable; ++Key)
+    Map.put(Key, encodeValue(Key, 0));
+
+  // Phases of the writer; stable keys must be found until clear() starts.
+  enum : int { Growing, Clearing, Done };
+  std::atomic<int> Phase{Growing};
+  std::atomic<int> Started{0};
+  std::atomic<int64_t> BadValues{0}, LostStable{0}, Reads{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != Readers; ++T) {
+    Workers.emplace_back([&, T] {
+      SplitMix64 Rng(static_cast<uint64_t>(T) + 71);
+      bool Announced = false;
+      while (Phase.load(std::memory_order_acquire) != Done) {
+        for (int I = 0; I != 64; ++I) {
+          bool StableKey = Rng.nextBool(0.5);
+          int64_t Key = StableKey
+                            ? static_cast<int64_t>(Rng.nextBelow(Stable))
+                            : ChurnBase + static_cast<int64_t>(
+                                              Rng.nextBelow(Churn));
+          int64_t Value = 0;
+          bool Found = I % 2 ? Map.lookup(Key, Value) : Map.containsKey(Key);
+          if (Found && I % 2 && (Value >> ValueShift) != Key)
+            BadValues.fetch_add(1, std::memory_order_relaxed);
+          // Read after the lookup: if clear() had not started when the
+          // lookup returned, a stable key must have been there.
+          if (!Found && StableKey &&
+              Phase.load(std::memory_order_seq_cst) == Growing)
+            LostStable.fetch_add(1, std::memory_order_relaxed);
+        }
+        Reads.fetch_add(64, std::memory_order_relaxed);
+        if (!Announced) {
+          Announced = true;
+          Started.fetch_add(1, std::memory_order_release);
+        }
+      }
+    });
+  }
+  while (Started.load(std::memory_order_acquire) != Readers)
+    std::this_thread::yield();
+
+  // Grow from the stable keys through every rehash of each shard.
+  for (int64_t I = 0; I != Churn; ++I)
+    Map.put(ChurnBase + I, encodeValue(ChurnBase + I, 1));
+  // Overwrite every churn value.
+  for (int64_t I = 0; I != Churn; ++I)
+    EXPECT_FALSE(Map.put(ChurnBase + I, encodeValue(ChurnBase + I, 2)));
+  // Erase the lower half of the churn range (disjoint from the stable
+  // keys).
+  for (int64_t I = 0; I != Churn / 2; ++I)
+    EXPECT_TRUE(Map.remove(ChurnBase + I));
+  // Reuse tombstones: a re-inserted key takes the first tombstone on
+  // its probe path, often another key's, so readers of that slot see
+  // its key and value change under them.
+  for (int Round = 0; Round != 4; ++Round) {
+    for (int64_t I = 0; I != Churn / 2; ++I)
+      EXPECT_TRUE(Map.put(ChurnBase + I, encodeValue(ChurnBase + I, 5)));
+    for (int64_t I = 0; I != Churn / 2; ++I)
+      EXPECT_TRUE(Map.remove(ChurnBase + I));
+  }
+  // Clear and refill.
+  Phase.store(Clearing, std::memory_order_seq_cst);
+  Map.clear();
+  for (int64_t Key = 0; Key != Stable; ++Key)
+    Map.put(Key, encodeValue(Key, 3));
+  for (int64_t I = 0; I != Churn; I += 3)
+    Map.put(ChurnBase + I, encodeValue(ChurnBase + I, 4));
+  Phase.store(Done, std::memory_order_release);
+  for (std::thread &W : Workers)
+    W.join();
+
+  EXPECT_EQ(BadValues.load(), 0) << "a lookup returned another key's value";
+  EXPECT_EQ(LostStable.load(), 0) << "a never-erased key was not found";
+  EXPECT_GE(Reads.load(), int64_t(Readers) * 64);
+  EXPECT_EQ(Map.size(), static_cast<size_t>(Stable + (Churn + 2) / 3));
+  for (int64_t Key = 0; Key != Stable; ++Key) {
+    int64_t Value = 0;
+    ASSERT_TRUE(Map.lookup(Key, Value)) << Key;
+    EXPECT_EQ(Value, encodeValue(Key, 3));
+  }
+  for (int64_t I = 0; I != Churn; ++I) {
+    int64_t Value = 0;
+    ASSERT_EQ(Map.lookup(ChurnBase + I, Value), I % 3 == 0) << I;
+    if (I % 3 == 0) {
+      EXPECT_EQ(Value, encodeValue(ChurnBase + I, 4));
+    }
+  }
+}
+
+/// Slot bytes of \p Map's current tables: its footprint less that of an
+/// empty map with as many shards.
+size_t tableBytes(const ShardedHashMapImpl<int64_t, int64_t> &Map) {
+  ShardedHashMapImpl<int64_t, int64_t> Empty(Map.shardCount());
+  return Map.memoryFootprint() - Empty.memoryFootprint();
+}
+
+TEST(ConcurrentCollections, ShardedHashMapFreesRetiredTables) {
+  // MemoryTracker counts per thread: this thread is the only writer, so
+  // every table is allocated, and every retired one freed, here.
+  const int64_t Baseline = MemoryTracker::liveBytes();
+  for (bool WriteAfterReaders : {true, false}) {
+    {
+      ShardedHashMapImpl<int64_t, int64_t> Map(4);
+      std::atomic<bool> Stop{false};
+      std::atomic<int> Started{0};
+      std::vector<std::thread> Readers;
+      for (int T = 0; T != 2; ++T) {
+        Readers.emplace_back([&, T] {
+          SplitMix64 Rng(static_cast<uint64_t>(T) + 5);
+          bool Announced = false;
+          while (!Stop.load(std::memory_order_acquire)) {
+            int64_t Value = 0;
+            Map.lookup(static_cast<int64_t>(Rng.nextBelow(8192)), Value);
+            if (!Announced) {
+              Announced = true;
+              Started.fetch_add(1, std::memory_order_release);
+            }
+          }
+        });
+      }
+      while (Started.load(std::memory_order_acquire) != 2)
+        std::this_thread::yield();
+      for (int64_t Key = 0; Key != 8192; ++Key)
+        Map.put(Key, Key);
+      Map.clear();
+      for (int64_t Key = 0; Key != 3000; ++Key)
+        Map.put(Key, -Key);
+      Stop.store(true, std::memory_order_release);
+      for (std::thread &R : Readers)
+        R.join();
+
+      if (WriteAfterReaders) {
+        // Later writes drive reclamation: with no reader left, every
+        // retired table goes.
+        for (int64_t Key = 0; Key != 3; ++Key)
+          Map.put(Key, Key);
+        EXPECT_EQ(MemoryTracker::liveBytes() - Baseline,
+                  static_cast<int64_t>(tableBytes(Map)));
+        Map.clear();
+        Map.put(1, 1);
+        EXPECT_EQ(MemoryTracker::liveBytes() - Baseline,
+                  static_cast<int64_t>(tableBytes(Map)));
+      }
+    } // Without later writes, the destructor frees what is left.
+    EXPECT_EQ(MemoryTracker::liveBytes(), Baseline)
+        << (WriteAfterReaders ? "after later writes" : "destructor only");
+  }
+}
+
+TEST(ConcurrentCollections, ShardedHashMapFootprintMatchesLockedTables) {
+  // The footprint is the lock-based layout's: the instance, the shard
+  // array and 17 bytes a slot, with each shard's capacity following
+  // the sequential open-addressing table through the same operations.
+  constexpr size_t Shards = 8;
+  ShardedHashMapImpl<int64_t, int64_t> Map(Shards);
+  ShardedHashMapImpl<int64_t, int64_t> Empty(Shards);
+  EXPECT_EQ(sizeof(Map), 4 * sizeof(void *));
+  std::vector<detail::OpenHashMapTable<int64_t, int64_t, 1, 2>> Tables(Shards);
+  auto Expected = [&] {
+    size_t Total = Empty.memoryFootprint();
+    for (const auto &T : Tables)
+      Total += T.memoryFootprint();
+    return Total;
+  };
+  auto TableOf = [&](int64_t Key) -> auto & {
+    return Tables[concurrent::shardOfHash(DefaultHash<int64_t>{}(Key),
+                                          Shards)];
+  };
+  EXPECT_EQ(Map.memoryFootprint(), Expected());
+  SplitMix64 Rng(29);
+  for (int Step = 0; Step != 20000; ++Step) {
+    int64_t Key = static_cast<int64_t>(Rng.nextBelow(3000));
+    if (Rng.nextBool(0.6)) {
+      EXPECT_EQ(Map.put(Key, Step), TableOf(Key).insertOrAssign(Key, Step));
+    } else {
+      EXPECT_EQ(Map.remove(Key), TableOf(Key).erase(Key));
+    }
+    if (Step == 12000) {
+      Map.clear();
+      for (auto &T : Tables)
+        T.clear();
+      Map.reserve(1000);
+      for (auto &T : Tables)
+        T.reserve((1000 + Shards - 1) / Shards);
+    }
+    if (Step % 500 == 0) {
+      ASSERT_EQ(Map.memoryFootprint(), Expected()) << "step " << Step;
+    }
+  }
+  EXPECT_EQ(Map.memoryFootprint(), Expected());
+}
+
+TEST(ConcurrentCollections, ShardedHashMapStringKeysChurnUnderLock) {
+  using MapT = ShardedHashMapImpl<std::string, int64_t>;
+  static_assert(!MapT::LockFreeReads, "string keys keep the locked reads");
+  MapT Map(4);
+  std::atomic<int64_t> NetPuts{0}, BadValues{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != 4; ++T) {
+    Workers.emplace_back([&, T] {
+      SplitMix64 Rng(static_cast<uint64_t>(T) + 41);
+      for (int I = 0; I != 4000; ++I) {
+        int64_t Id = static_cast<int64_t>(Rng.nextBelow(600));
+        std::string Key = "session-" + std::to_string(Id);
+        uint64_t Op = Rng.nextBelow(4);
+        int64_t Value = 0;
+        if (Op == 0) {
+          if (Map.put(Key, encodeValue(Id, T)))
+            NetPuts.fetch_add(1, std::memory_order_relaxed);
+        } else if (Op == 1) {
+          if (Map.remove(Key))
+            NetPuts.fetch_sub(1, std::memory_order_relaxed);
+        } else if (Op == 2) {
+          if (Map.lookup(Key, Value) && (Value >> ValueShift) != Id)
+            BadValues.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          Map.containsKey(Key);
+        }
+      }
+    });
+  }
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(BadValues.load(), 0);
+  EXPECT_EQ(static_cast<int64_t>(Map.size()), NetPuts.load());
+  size_t Seen = 0;
+  Map.forEach([&](const std::string &Key, const int64_t &Value) {
+    ++Seen;
+    EXPECT_EQ("session-" + std::to_string(Value >> ValueShift), Key);
+  });
+  EXPECT_EQ(Seen, Map.size());
+}
+
+/// A block that records when the domain frees it.
+struct TrackedBlock : concurrent::Retired {
+  explicit TrackedBlock(bool &Freed) : Freed(Freed) {
+    Free = [](concurrent::Retired *R) {
+      auto *B = static_cast<TrackedBlock *>(R);
+      B->Freed = true;
+      delete B;
+    };
+  }
+  bool &Freed;
+};
+
+TEST(ConcurrentCollections, GraceDomainFreesOnlyAfterReadersLeave) {
+  concurrent::GraceDomain Domain;
+
+  // No reader: one reclaim call runs both flips and frees the block.
+  bool FreedIdle = false;
+  Domain.retire(new TrackedBlock(FreedIdle));
+  EXPECT_TRUE(Domain.hasRetired());
+  Domain.tryReclaim();
+  EXPECT_TRUE(FreedIdle);
+  EXPECT_FALSE(Domain.hasRetired());
+
+  // A reader inside before the retirement holds the block...
+  bool Freed = false;
+  auto Early = Domain.enter();
+  Domain.retire(new TrackedBlock(Freed));
+  Domain.tryReclaim();
+  EXPECT_FALSE(Freed);
+  // ...and a reader that enters after the first flip delays the second,
+  // so the block stays until both have left.
+  auto Late = Domain.enter();
+  Domain.leave(Early);
+  Domain.tryReclaim();
+  EXPECT_FALSE(Freed);
+  Domain.leave(Late);
+  Domain.tryReclaim();
+  EXPECT_TRUE(Freed);
+
+  // What is still retired at destruction is freed by the destructor.
+  bool FreedAtEnd = false;
+  {
+    concurrent::GraceDomain Scoped;
+    auto Reader = Scoped.enter();
+    Scoped.retire(new TrackedBlock(FreedAtEnd));
+    Scoped.tryReclaim();
+    EXPECT_FALSE(FreedAtEnd);
+    Scoped.leave(Reader);
+  }
+  EXPECT_TRUE(FreedAtEnd);
 }
 
 //===--------------------------------------------------------------------===//
