@@ -23,6 +23,11 @@
 // splits into the pre-switch epochs (mutex-serialized) and what the
 // auto path costs per operation once it is sharded.
 //
+// Under each row, every mode gets a line with its request latency (p50
+// and p99 of a 1-in-64 sample) and the final variants of all three
+// contexts: a pin fixes the set and the list too (the sharded pin puts
+// the feed on SnapshotList), while auto picks them from their profiles.
+//
 // Emits BENCH_server.json (schema cswitch-server-v1).
 //
 // Usage: server_scaling [--ops N] [--epochs N] [--tenants N]
@@ -66,6 +71,19 @@ std::string trailJson(const std::vector<std::string> &Trail) {
   }
   Out += ']';
   return Out;
+}
+
+/// The per-mode fields of a point: request latency and final variants.
+std::string modeJson(const char *Mode, const ServerRunResult &R) {
+  char Buf[384];
+  std::snprintf(Buf, sizeof(Buf),
+                ", \"%s_req_p50_us\": %.3f, \"%s_req_p99_us\": %.3f, "
+                "\"%s_variants\": {\"map\": \"%s\", \"set\": \"%s\", "
+                "\"list\": \"%s\"}",
+                Mode, R.RequestP50Us, Mode, R.RequestP99Us, Mode,
+                R.CacheVariant.c_str(), R.SessionSetVariant.c_str(),
+                R.EventListVariant.c_str());
+  return Buf;
 }
 
 std::string secondsJson(const std::vector<double> &Seconds) {
@@ -163,6 +181,14 @@ int main(int Argc, char **Argv) {
                 Ops[1] > 0 ? 100.0 * PostOps / Ops[1] : 0.0,
                 Auto->CacheVariant.c_str(), Auto->CacheSwitches,
                 Auto->ContendedThreads);
+    for (size_t M = 0; M != 3; ++M) {
+      const ServerRunResult &R = Points[Points.size() - 3 + M].Result;
+      std::printf("%7s   %-7s p50 %6.3f us  p99 %7.3f us  map %-14s set "
+                  "%-14s list %s\n",
+                  "", concurrencyName(Modes[M]), R.RequestP50Us,
+                  R.RequestP99Us, R.CacheVariant.c_str(),
+                  R.SessionSetVariant.c_str(), R.EventListVariant.c_str());
+    }
   }
 
   // Acceptance: the auto run discovers the striping wherever threads
@@ -235,6 +261,9 @@ int main(int Argc, char **Argv) {
                   PostOps, PostEpochs);
     Json += Buf;
     Json += secondsJson(Auto.EpochSeconds);
+    Json += modeJson("mutex", Mutex);
+    Json += modeJson("sharded", Sharded);
+    Json += modeJson("auto", Auto);
     Json += I + 3 >= Points.size() ? "}\n" : "},\n";
   }
   Json += "  ],\n";

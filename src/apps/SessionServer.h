@@ -81,6 +81,16 @@ struct ServerRunResult {
   /// Wall-clock seconds of each epoch: its workers plus the retire and
   /// evaluation sweep that end it (they sum to Seconds).
   std::vector<double> EpochSeconds;
+  /// Request latency over the run, in microseconds: the median and the
+  /// 99th percentile of one request-loop iteration in 64 (a fixed
+  /// pseudo-random sample that ignores the iteration's position in the
+  /// session, feed and scan cycles), so the clock reads stay off the
+  /// throughput figures.
+  double RequestP50Us = 0.0;
+  double RequestP99Us = 0.0;
+  /// Final variants of the session set and event feed contexts.
+  std::string SessionSetVariant;
+  std::string EventListVariant;
   /// Final smoothed thread estimate of the cache context.
   double ContendedThreads = 0.0;
   EngineStats Stats;         ///< Engine-stats interval over the run.

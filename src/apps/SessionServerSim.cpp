@@ -29,6 +29,7 @@
 
 #include "support/Random.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -45,15 +46,39 @@ double tenantReadFraction(size_t Tenant) {
   return Tenant % 2 == 0 ? 0.9 : 0.6;
 }
 
-/// One worker's request loop over the shared epoch instances.
+/// Whether iteration \p I of a worker's loop is timed: one in 64, picked
+/// by the top bits of a Fibonacci hash so the sample is spread evenly
+/// over the session (every 16th), feed (64th) and scan (1024th) cycles.
+bool timedIteration(size_t I) {
+  return (static_cast<uint64_t>(I) * 0x9e3779b97f4a7c15ULL) >> 58 == 0;
+}
+
+/// The \p Q quantile of \p Samples (nanoseconds), in microseconds.
+double quantileUs(std::vector<uint32_t> &Samples, double Q) {
+  if (Samples.empty())
+    return 0.0;
+  size_t Rank =
+      static_cast<size_t>(Q * static_cast<double>(Samples.size() - 1));
+  std::nth_element(Samples.begin(), Samples.begin() + Rank, Samples.end());
+  return Samples[Rank] / 1000.0;
+}
+
+/// One worker's request loop over the shared epoch instances; the
+/// latencies of its timed iterations go to \p Latency (nanoseconds).
 void runWorker(const ServerRunConfig &Config, const ZipfDistribution &Zipf,
                Map<int64_t, int64_t> &Cache, Set<int64_t> &Sessions,
                List<int64_t> &Events, size_t Epoch, size_t Thread,
-               std::atomic<uint64_t> &Checksum) {
+               std::atomic<uint64_t> &Checksum,
+               std::vector<uint32_t> &Latency) {
+  using Clock = std::chrono::steady_clock;
   SplitMix64 Rng(Config.Seed * 0x9e3779b9ULL + Epoch * 1315423911ULL +
                  Thread * 2654435761ULL + 1);
   uint64_t Local = 0;
   for (size_t I = 0; I != Config.OpsPerThread; ++I) {
+    bool Timed = timedIteration(I);
+    Clock::time_point Start;
+    if (Timed)
+      Start = Clock::now();
     // Requests round-robin the tenants so every thread exercises both
     // read-heavy and write-heavy mixes within one epoch.
     size_t Tenant = (I + Thread) % Config.Tenants;
@@ -85,6 +110,9 @@ void runWorker(const ServerRunConfig &Config, const ZipfDistribution &Zipf,
       Events.forEach([&Seen](const int64_t &) { ++Seen; });
       Local += Seen;
     }
+    if (Timed)
+      Latency.push_back(static_cast<uint32_t>(std::min<int64_t>(
+          (Clock::now() - Start) / std::chrono::nanoseconds(1), UINT32_MAX)));
   }
   Checksum.fetch_add(Local, std::memory_order_relaxed);
 }
@@ -110,6 +138,9 @@ ServerRunResult cswitch::runSessionServerSim(const ServerRunConfig &Config) {
 
   ZipfDistribution Zipf(Config.KeysPerTenant, Config.ZipfSkew);
   std::atomic<uint64_t> Checksum{0};
+  std::vector<std::vector<uint32_t>> Latency(Config.Threads);
+  for (std::vector<uint32_t> &Samples : Latency)
+    Samples.reserve(Config.Epochs * (Config.OpsPerThread / 64 + 8));
 
   ServerRunResult Result;
   EngineStats Before = Switch::stats();
@@ -127,7 +158,8 @@ ServerRunResult cswitch::runSessionServerSim(const ServerRunConfig &Config) {
     Workers.reserve(Config.Threads);
     for (size_t T = 0; T != Config.Threads; ++T)
       Workers.emplace_back([&, Epoch, T] {
-        runWorker(Config, Zipf, Cache, Sessions, Events, Epoch, T, Checksum);
+        runWorker(Config, Zipf, Cache, Sessions, Events, Epoch, T, Checksum,
+                  Latency[T]);
       });
     for (std::thread &W : Workers)
       W.join();
@@ -158,7 +190,16 @@ ServerRunResult cswitch::runSessionServerSim(const ServerRunConfig &Config) {
                          EventCtx->switchCount();
   Result.CacheVariant =
       mapVariantName(static_cast<MapVariant>(CacheCtx->currentVariantIndex()));
+  Result.SessionSetVariant = setVariantName(
+      static_cast<SetVariant>(SessionCtx->currentVariantIndex()));
+  Result.EventListVariant = listVariantName(
+      static_cast<ListVariant>(EventCtx->currentVariantIndex()));
   Result.ContendedThreads = CacheCtx->contendedThreads();
+  std::vector<uint32_t> Samples;
+  for (const std::vector<uint32_t> &Worker : Latency)
+    Samples.insert(Samples.end(), Worker.begin(), Worker.end());
+  Result.RequestP50Us = quantileUs(Samples, 0.50);
+  Result.RequestP99Us = quantileUs(Samples, 0.99);
   Result.Stats = Switch::stats() - Before;
   return Result;
 }

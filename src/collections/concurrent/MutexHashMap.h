@@ -17,7 +17,13 @@
 /// escape the lock and are only safe while no other thread mutates; use
 /// lookup() for a concurrent read. ShardedHashMap answers lookup() and
 /// containsKey() without its lock for seqlock-readable key and value
-/// types (DESIGN.md §11.4), with the same results.
+/// types (DESIGN.md §11.4), with the same results: a lookup racing an
+/// overwrite of its key returns the old or the new value.
+///
+/// The striped variants lock their shards with the spin-then-park
+/// concurrent::ShardLock, held for tens of nanoseconds; the
+/// mutex-serialized variants keep std::mutex, whose waiters sleep,
+/// because every thread hammers their one lock.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -17,9 +17,12 @@
 /// lock when keys and values are seqlock-readable (DESIGN.md §11.4):
 /// they probe the shard's published block with relaxed atomic loads and
 /// validate the result against the shard's seqlock version, falling back
-/// to the lock after a few failed attempts. Writers still lock the shard
-/// and retire replaced blocks to a per-instance grace domain
-/// (concurrent/ReadSide.h) instead of freeing them.
+/// to the lock after a few failed attempts. Writers lock the shard (a
+/// spin-then-park concurrent::ShardLock) and retire replaced blocks to a
+/// per-instance grace domain (concurrent/ReadSide.h) instead of freeing
+/// them. Only structural stores (a slot changing its key, a block being
+/// published) move the version: an overwrite of a live key's value is
+/// one atomic store that readers never retry for.
 ///
 /// See MutexHashMap.h for the tier-wide thread-safety contract.
 ///
@@ -70,7 +73,7 @@ public:
     Shard &S = shardOf(Hash);
     bool Inserted;
     {
-      WriteSection Write(S);
+      std::lock_guard<concurrent::ShardLock> Lock(S.Lock);
       Inserted = S.insertOrAssign(Key, Value, Hash, Side->Grace);
       if (Inserted)
         Side->Count.Value.fetch_add(1, std::memory_order_relaxed);
@@ -82,14 +85,14 @@ public:
   const V *get(const K &Key) const override {
     uint64_t Hash = DefaultHash<K>{}(Key);
     Shard &S = shardOf(Hash);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
+    std::lock_guard<concurrent::ShardLock> Lock(S.Lock);
     return S.find(Key, Hash);
   }
 
   V *getMutable(const K &Key) override {
     uint64_t Hash = DefaultHash<K>{}(Key);
     Shard &S = shardOf(Hash);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
+    std::lock_guard<concurrent::ShardLock> Lock(S.Lock);
     return const_cast<V *>(S.find(Key, Hash));
   }
 
@@ -117,7 +120,7 @@ public:
     Shard &S = shardOf(Hash);
     bool Erased;
     {
-      WriteSection Write(S);
+      std::lock_guard<concurrent::ShardLock> Lock(S.Lock);
       Erased = S.erase(Key, Hash);
       if (Erased)
         Side->Count.Value.fetch_sub(1, std::memory_order_relaxed);
@@ -134,7 +137,7 @@ public:
     // Shard-at-a-time: concurrent writers of other shards proceed; the
     // count is decremented per shard so it never goes stale negative.
     for (size_t I = 0; I != NumShards; ++I) {
-      WriteSection Write(Lanes[I]);
+      std::lock_guard<concurrent::ShardLock> Lock(Lanes[I].Lock);
       Side->Count.Value.fetch_sub(Lanes[I].Count, std::memory_order_relaxed);
       Lanes[I].clear(Side->Grace);
     }
@@ -145,7 +148,7 @@ public:
   /// lock; mutations of not-yet-visited shards may or may not be seen.
   void forEach(FunctionRef<void(const K &, const V &)> Fn) const override {
     for (size_t I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> Lock(Lanes[I].Mutex);
+      std::lock_guard<concurrent::ShardLock> Lock(Lanes[I].Lock);
       Lanes[I].forEach(Fn);
     }
   }
@@ -153,7 +156,7 @@ public:
   void reserve(size_t N) override {
     size_t PerShard = (N + NumShards - 1) / NumShards;
     for (size_t I = 0; I != NumShards; ++I) {
-      WriteSection Write(Lanes[I]);
+      std::lock_guard<concurrent::ShardLock> Lock(Lanes[I].Lock);
       Lanes[I].reserve(PerShard, Side->Grace);
     }
     reclaim();
@@ -167,7 +170,7 @@ public:
   size_t memoryFootprint() const override {
     size_t Total = sizeof(*this) + NumShards * sizeof(Shard);
     for (size_t I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> Lock(Lanes[I].Mutex);
+      std::lock_guard<concurrent::ShardLock> Lock(Lanes[I].Lock);
       if (const Block *B = Lanes[I].current())
         Total += Block::slotBytes(B->capacity());
     }
@@ -243,18 +246,23 @@ private:
     }
   };
 
-  /// One lock stripe: its lock, seqlock version, published block and
-  /// counts in one padded block, so two shards never share a cache line.
-  /// The probing mirrors detail::OpenHashMapTable at load factor 1/2,
-  /// so capacities (and footprints) match the sequential maps'.
+  /// One lock stripe in two cache lines, so two shards never share one.
+  /// The first holds what every lookup reads (the seqlock version and
+  /// the published block), the second what every write takes (the lock
+  /// and the counts): a write that changes no key leaves the readers'
+  /// line alone. The probing mirrors detail::OpenHashMapTable at load
+  /// factor 1/2, so capacities (and footprints) match the sequential
+  /// maps'.
   struct alignas(CacheLineBytes) Shard {
-    mutable std::mutex Mutex;
-    /// Odd while a writer changes the shard's slots or block.
+    /// Odd while a writer changes which key a slot holds or which block
+    /// is published.
     std::atomic<uint64_t> Version{0};
     /// The block readers probe; null while the shard is empty.
     std::atomic<Block *> Published{nullptr};
-    size_t Count = 0;    ///< Full slots; guarded by Mutex.
-    size_t Occupied = 0; ///< Full + tombstone slots; guarded by Mutex.
+
+    alignas(CacheLineBytes) mutable concurrent::ShardLock Lock;
+    size_t Count = 0;    ///< Full slots; guarded by Lock.
+    size_t Occupied = 0; ///< Full + tombstone slots; guarded by Lock.
 
     Shard() = default;
     Shard(const Shard &) = delete;
@@ -287,56 +295,46 @@ private:
       return nullptr;
     }
 
-    /// Returns true if the key was new.
+    /// Returns true if the key was new. Caller holds the lock.
     bool insertOrAssign(const K &Key, const V &Value, uint64_t Hash,
                         concurrent::GraceDomain &Grace) {
       growIfNeeded(Grace);
       Block *B = current();
-      size_t Index = Hash & B->Mask;
-      size_t FirstTombstone = SIZE_MAX;
-      while (true) {
-        uint8_t State = B->States[Index];
-        if (State == detail::SlotEmpty) {
-          size_t Target = FirstTombstone != SIZE_MAX ? FirstTombstone : Index;
-          concurrent::storeSlot(B->Keys[Target], Key);
-          concurrent::storeSlot(B->Vals[Target], Value);
-          if (B->States[Target] == detail::SlotEmpty)
-            ++Occupied;
-          concurrent::storeSlot(B->States[Target], uint8_t(detail::SlotFull));
-          ++Count;
-          return true;
-        }
-        if (State == detail::SlotFull && B->Keys[Index] == Key) {
-          concurrent::storeSlot(B->Vals[Index], Value);
-          return false;
-        }
-        if (State == detail::SlotTombstone && FirstTombstone == SIZE_MAX)
-          FirstTombstone = Index;
-        Index = (Index + 1) & B->Mask;
+      auto [Index, Found] = probe(*B, Key, Hash);
+      if (Found) {
+        // The slot keeps its key and the value word is one atomic
+        // store, so a validated reader returns the old or the new
+        // value: the version stays even.
+        concurrent::storeSlot(B->Vals[Index], Value);
+        return false;
       }
+      StructuralWrite Write(*this);
+      concurrent::storeSlot(B->Keys[Index], Key);
+      concurrent::storeSlot(B->Vals[Index], Value);
+      if (B->States[Index] == detail::SlotEmpty)
+        ++Occupied;
+      concurrent::storeSlot(B->States[Index], uint8_t(detail::SlotFull));
+      ++Count;
+      return true;
     }
 
+    /// Returns true if the key was present. Caller holds the lock.
     bool erase(const K &Key, uint64_t Hash) {
       Block *B = current();
       if (!B)
         return false;
-      size_t Index = Hash & B->Mask;
-      while (true) {
-        uint8_t State = B->States[Index];
-        if (State == detail::SlotEmpty)
-          return false;
-        if (State == detail::SlotFull && B->Keys[Index] == Key) {
-          concurrent::storeSlot(B->States[Index],
-                                uint8_t(detail::SlotTombstone));
-          --Count;
-          return true;
-        }
-        Index = (Index + 1) & B->Mask;
-      }
+      auto [Index, Found] = probe(*B, Key, Hash);
+      if (!Found)
+        return false;
+      StructuralWrite Write(*this);
+      concurrent::storeSlot(B->States[Index], uint8_t(detail::SlotTombstone));
+      --Count;
+      return true;
     }
 
     void clear(concurrent::GraceDomain &Grace) {
-      replace(nullptr, Grace);
+      if (current())
+        replace(nullptr, Grace);
       Count = Occupied = 0;
     }
 
@@ -358,6 +356,51 @@ private:
 
   private:
     static constexpr size_t InitialCapacity = 8;
+
+    /// The seqlock bracket of a structural store: the version is odd
+    /// from before the writer's first such store until after its last
+    /// (the EventLog slot protocol, DESIGN.md §6.1).
+    class StructuralWrite {
+    public:
+      explicit StructuralWrite(Shard &S) : S(S) {
+        if constexpr (LockFreeReads) {
+          S.Version.store(S.Version.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
+          orderingFence(std::memory_order_release);
+        }
+      }
+      ~StructuralWrite() {
+        if constexpr (LockFreeReads)
+          S.Version.store(S.Version.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_release);
+      }
+
+    private:
+      Shard &S;
+    };
+
+    /// Where \p Key sits in \p B, or where inserting it would put it
+    /// (the first tombstone on its probe path, else the empty slot that
+    /// ends the path). The load factor keeps an empty slot in every
+    /// block. Caller holds the lock.
+    struct Probe {
+      size_t Index;
+      bool Found;
+    };
+    static Probe probe(const Block &B, const K &Key, uint64_t Hash) {
+      size_t Index = Hash & B.Mask;
+      size_t FirstTombstone = SIZE_MAX;
+      while (true) {
+        uint8_t State = B.States[Index];
+        if (State == detail::SlotEmpty)
+          return {FirstTombstone != SIZE_MAX ? FirstTombstone : Index, false};
+        if (State == detail::SlotFull && B.Keys[Index] == Key)
+          return {Index, true};
+        if (State == detail::SlotTombstone && FirstTombstone == SIZE_MAX)
+          FirstTombstone = Index;
+        Index = (Index + 1) & B.Mask;
+      }
+    }
 
     /// Load factor 1/2 over full + tombstone slots, as OpenHashMapTable.
     void growIfNeeded(concurrent::GraceDomain &Grace) {
@@ -398,7 +441,11 @@ private:
     /// Publishes \p Fresh (seq_cst, see GraceDomain::enter) and retires
     /// the block it replaces, or frees it when no reader can hold it.
     void replace(Block *Fresh, concurrent::GraceDomain &Grace) {
-      Block *Old = Published.exchange(Fresh, std::memory_order_seq_cst);
+      Block *Old;
+      {
+        StructuralWrite Write(*this);
+        Old = Published.exchange(Fresh, std::memory_order_seq_cst);
+      }
       if (!Old)
         return;
       if constexpr (LockFreeReads)
@@ -408,28 +455,8 @@ private:
     }
   };
 
-  /// The shard lock plus the seqlock bracket around it: the version is
-  /// odd from before the writer's first slot store until after its last
-  /// (the EventLog slot protocol, DESIGN.md §6.1).
-  class WriteSection {
-  public:
-    explicit WriteSection(Shard &S) : S(S), Lock(S.Mutex) {
-      if constexpr (LockFreeReads) {
-        S.Version.store(S.Version.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-        orderingFence(std::memory_order_release);
-      }
-    }
-    ~WriteSection() {
-      if constexpr (LockFreeReads)
-        S.Version.store(S.Version.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_release);
-    }
-
-  private:
-    Shard &S;
-    std::lock_guard<std::mutex> Lock;
-  };
+  static_assert(sizeof(Shard) == 2 * CacheLineBytes,
+                "the readers' line and the writers' line, nothing more");
 
   /// What writes touch, out of line: every operation reads the
   /// instance's own fields (vptr, NumShards, Lanes, Side), so the size
@@ -461,7 +488,7 @@ private:
           return Result;
       }
     }
-    std::lock_guard<std::mutex> Lock(S.Mutex);
+    std::lock_guard<concurrent::ShardLock> Lock(S.Lock);
     return Read();
   }
 

@@ -7,7 +7,7 @@
 /// \file
 /// Shared shard arithmetic of the lock-striped collection variants
 /// (DESIGN.md §11): resolving the shard count from the process-wide
-/// ContentionPolicy and mapping a key hash to a shard.
+/// ContentionPolicy, mapping a key hash to a shard, and the shard lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,7 @@ namespace cswitch {
 namespace concurrent {
 
 /// Maximum shards of any striped variant; bounds the per-instance
-/// footprint (64 shards x one cache line of mutex + table header).
+/// footprint (64 shards x two cache lines of lock + table header).
 inline constexpr size_t MaxShards = 64;
 
 /// Shards per hardware thread under the auto rule. With one shard per
@@ -74,6 +74,75 @@ inline size_t shardOfHash(uint64_t Hash, size_t Shards) {
 /// also stays the size its footprint has always reported.
 struct alignas(CacheLineBytes) LineCounter {
   std::atomic<size_t> Value{0};
+};
+
+/// The lock of one shard of a striped variant: a spin-then-park lock in
+/// one 32-bit word (DESIGN.md §11). A striped write holds it for tens of
+/// nanoseconds, so a thread that finds it held spins on a relaxed load
+/// for SpinLimit rounds before it parks; std::mutex would park in the
+/// futex on the first failed attempt. Parking uses C++20 atomic
+/// wait/notify. Satisfies Lockable, so std::lock_guard and
+/// std::unique_lock take it.
+///
+/// The mutex-serialized variants keep std::mutex: one lock that every
+/// thread hammers runs better when its waiters sleep than when they spin.
+class ShardLock {
+public:
+  /// Relaxed-load rounds a contended lock() spins before it parks.
+  static constexpr unsigned SpinLimit = 64;
+
+  void lock() {
+    uint32_t Expected = Free;
+    if (!State.compare_exchange_strong(Expected, Held,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed))
+      lockContended();
+  }
+
+  bool try_lock() {
+    uint32_t Expected = Free;
+    return State.compare_exchange_strong(Expected, Held,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed);
+  }
+
+  void unlock() {
+    if (State.exchange(Free, std::memory_order_release) == HeldWaiters)
+      State.notify_one();
+  }
+
+  /// True while the lock is held and some thread has parked, or is
+  /// about to park, on it (for tests).
+  bool hasWaiters() const {
+    return State.load(std::memory_order_relaxed) == HeldWaiters;
+  }
+
+private:
+  enum : uint32_t { Free = 0, Held = 1, HeldWaiters = 2 };
+
+  void lockContended() {
+    for (unsigned Spin = 0; Spin != SpinLimit; ++Spin) {
+      pause();
+      if (State.load(std::memory_order_relaxed) == Free && try_lock())
+        return;
+    }
+    // Marking the word HeldWaiters before parking makes the holder's
+    // unlock() notify; a thread that takes the lock this way keeps the
+    // mark, since other waiters may still be parked.
+    while (State.exchange(HeldWaiters, std::memory_order_acquire) != Free)
+      State.wait(HeldWaiters, std::memory_order_relaxed);
+  }
+
+  /// Spin-wait hint to the core; nothing where the target has none.
+  static void pause() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+  }
+
+  std::atomic<uint32_t> State{Free};
 };
 
 } // namespace concurrent

@@ -7,7 +7,8 @@
 /// \file
 /// Lock-striped strategy of the concurrent set tier: the set analogue of
 /// ShardedHashMap (see its header for the striping rationale and
-/// MutexHashMap.h for the tier-wide thread-safety contract).
+/// MutexHashMap.h for the tier-wide thread-safety contract). Every
+/// operation takes its shard's concurrent::ShardLock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +39,7 @@ public:
 
   bool add(const T &Value) override {
     Shard &S = shardOf(Value);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
+    std::lock_guard<concurrent::ShardLock> Lock(S.Lock);
     bool Inserted = S.Table.insert(Value);
     if (Inserted)
       Count->Value.fetch_add(1, std::memory_order_relaxed);
@@ -47,13 +48,13 @@ public:
 
   bool contains(const T &Value) const override {
     Shard &S = shardOf(Value);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
+    std::lock_guard<concurrent::ShardLock> Lock(S.Lock);
     return S.Table.contains(Value);
   }
 
   bool remove(const T &Value) override {
     Shard &S = shardOf(Value);
-    std::lock_guard<std::mutex> Lock(S.Mutex);
+    std::lock_guard<concurrent::ShardLock> Lock(S.Lock);
     bool Erased = S.Table.erase(Value);
     if (Erased)
       Count->Value.fetch_sub(1, std::memory_order_relaxed);
@@ -66,7 +67,7 @@ public:
 
   void clear() override {
     for (size_t I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> Lock(Lanes[I].Mutex);
+      std::lock_guard<concurrent::ShardLock> Lock(Lanes[I].Lock);
       Count->Value.fetch_sub(Lanes[I].Table.size(), std::memory_order_relaxed);
       Lanes[I].Table.clear();
     }
@@ -75,7 +76,7 @@ public:
   /// Shard-at-a-time traversal (see ShardedHashMap::forEach).
   void forEach(FunctionRef<void(const T &)> Fn) const override {
     for (size_t I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> Lock(Lanes[I].Mutex);
+      std::lock_guard<concurrent::ShardLock> Lock(Lanes[I].Lock);
       Lanes[I].Table.forEach(Fn);
     }
   }
@@ -83,7 +84,7 @@ public:
   void reserve(size_t N) override {
     size_t PerShard = (N + NumShards - 1) / NumShards;
     for (size_t I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> Lock(Lanes[I].Mutex);
+      std::lock_guard<concurrent::ShardLock> Lock(Lanes[I].Lock);
       Lanes[I].Table.reserve(PerShard);
     }
   }
@@ -91,7 +92,7 @@ public:
   size_t memoryFootprint() const override {
     size_t Total = sizeof(*this) + NumShards * sizeof(Shard);
     for (size_t I = 0; I != NumShards; ++I) {
-      std::lock_guard<std::mutex> Lock(Lanes[I].Mutex);
+      std::lock_guard<concurrent::ShardLock> Lock(Lanes[I].Lock);
       Total += Lanes[I].Table.memoryFootprint();
     }
     return Total;
@@ -108,7 +109,7 @@ public:
 
 private:
   struct alignas(CacheLineBytes) Shard {
-    mutable std::mutex Mutex;
+    mutable concurrent::ShardLock Lock;
     detail::OpenHashSetTable<T, 1, 2> Table;
   };
 

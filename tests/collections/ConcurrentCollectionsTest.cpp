@@ -9,6 +9,7 @@
 /// operation smoke over the thread-safe implementations, snapshot
 /// isolation of the copy-on-write list, shard-count edges, lock-free
 /// lookups of the sharded map and the reclamation behind them, the
+/// shard lock, the
 /// contention sketch, the contention cost dimension, and the
 /// Concurrency mode helpers. The multi-threaded tests double as the
 /// TSan surface of the tier (run in CI under -fsanitize=thread).
@@ -467,6 +468,107 @@ TEST(ConcurrentCollections, ShardedHashMapStringKeysChurnUnderLock) {
   EXPECT_EQ(Seen, Map.size());
 }
 
+TEST(ConcurrentCollections, ShardedHashMapOverwritesStayMonotonicUnderLookups) {
+  // Overwrites of a live key leave the seqlock version alone: readers
+  // must still see only values of the key they asked for, and one
+  // reader must never see a key's sequence go backwards, while another
+  // writer forces rehashes, erases and re-inserts around the hot keys.
+  using MapT = ShardedHashMapImpl<int64_t, int64_t>;
+  constexpr int HotWriters = 2;
+  constexpr int64_t HotPerWriter = 32;
+  constexpr int64_t HotKeys = HotWriters * HotPerWriter; ///< [0, HotKeys).
+  constexpr int64_t Passes = 3000; ///< Sequences 1..Passes per hot key.
+  constexpr int64_t ChurnBase = 1 << 12;
+  constexpr int64_t Churn = 6000; ///< Keys [ChurnBase, +Churn).
+  constexpr int Readers = 3;
+  constexpr int64_t SeqMask = (int64_t(1) << ValueShift) - 1;
+  MapT Map(4);
+  for (int64_t Key = 0; Key != HotKeys; ++Key)
+    Map.put(Key, encodeValue(Key, 0));
+
+  std::atomic<int> WritersLeft{HotWriters + 1};
+  std::atomic<int> Started{0};
+  std::atomic<int64_t> BadValues{0}, Backwards{0}, LostHot{0}, Reads{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != Readers; ++T) {
+    Threads.emplace_back([&, T] {
+      std::vector<int64_t> LastSeq(HotKeys, 0);
+      SplitMix64 Rng(static_cast<uint64_t>(T) + 113);
+      bool Announced = false;
+      while (WritersLeft.load(std::memory_order_acquire) != 0) {
+        for (int I = 0; I != 64; ++I) {
+          bool Hot = Rng.nextBool(0.75);
+          int64_t Key = Hot ? static_cast<int64_t>(Rng.nextBelow(HotKeys))
+                            : ChurnBase + static_cast<int64_t>(
+                                              Rng.nextBelow(Churn));
+          int64_t Value = 0;
+          if (!Map.lookup(Key, Value)) {
+            if (Hot)
+              LostHot.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          if ((Value >> ValueShift) != Key) {
+            BadValues.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          if (!Hot)
+            continue;
+          int64_t Seq = Value & SeqMask;
+          if (Seq < LastSeq[Key])
+            Backwards.fetch_add(1, std::memory_order_relaxed);
+          LastSeq[Key] = Seq;
+        }
+        Reads.fetch_add(64, std::memory_order_relaxed);
+        if (!Announced) {
+          Announced = true;
+          Started.fetch_add(1, std::memory_order_release);
+        }
+      }
+    });
+  }
+  while (Started.load(std::memory_order_acquire) != Readers)
+    std::this_thread::yield();
+
+  for (int W = 0; W != HotWriters; ++W) {
+    Threads.emplace_back([&, W] {
+      for (int64_t Seq = 1; Seq <= Passes; ++Seq)
+        for (int64_t I = 0; I != HotPerWriter; ++I) {
+          int64_t Key = W * HotPerWriter + I;
+          if (Map.put(Key, encodeValue(Key, Seq)))
+            LostHot.fetch_add(1, std::memory_order_relaxed);
+        }
+      WritersLeft.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  Threads.emplace_back([&] {
+    // Grow every shard through its rehashes, then erase and re-insert
+    // the lower half a few times, so hot keys share shards with
+    // structural changes (and new keys land in tombstones).
+    for (int64_t I = 0; I != Churn; ++I)
+      Map.put(ChurnBase + I, encodeValue(ChurnBase + I, 1));
+    for (int Round = 0; Round != 4; ++Round) {
+      for (int64_t I = 0; I != Churn / 2; ++I)
+        Map.remove(ChurnBase + I);
+      for (int64_t I = 0; I != Churn / 2; ++I)
+        Map.put(ChurnBase + I, encodeValue(ChurnBase + I, 2 + Round));
+    }
+    WritersLeft.fetch_sub(1, std::memory_order_release);
+  });
+  for (std::thread &T : Threads)
+    T.join();
+
+  EXPECT_EQ(BadValues.load(), 0) << "a lookup returned another key's value";
+  EXPECT_EQ(Backwards.load(), 0) << "a key's sequence went backwards";
+  EXPECT_EQ(LostHot.load(), 0) << "a hot key was missing or re-inserted";
+  EXPECT_GE(Reads.load(), int64_t(Readers) * 64);
+  EXPECT_EQ(Map.size(), static_cast<size_t>(HotKeys + Churn));
+  for (int64_t Key = 0; Key != HotKeys; ++Key) {
+    int64_t Value = 0;
+    ASSERT_TRUE(Map.lookup(Key, Value)) << Key;
+    EXPECT_EQ(Value, encodeValue(Key, Passes));
+  }
+}
+
 /// A block that records when the domain frees it.
 struct TrackedBlock : concurrent::Retired {
   explicit TrackedBlock(bool &Freed) : Freed(Freed) {
@@ -517,6 +619,53 @@ TEST(ConcurrentCollections, GraceDomainFreesOnlyAfterReadersLeave) {
     Scoped.leave(Reader);
   }
   EXPECT_TRUE(FreedAtEnd);
+}
+
+TEST(ConcurrentCollections, ShardLockExcludesAndWakesParkedWaiters) {
+  concurrent::ShardLock Lock;
+
+  // Mutual exclusion: a plain counter under the lock ends exact.
+  constexpr int Threads = 8;
+  constexpr int64_t Rounds = 20000;
+  int64_t Counter = 0;
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != Threads; ++T)
+    Workers.emplace_back([&] {
+      for (int64_t I = 0; I != Rounds; ++I) {
+        std::lock_guard<concurrent::ShardLock> Guard(Lock);
+        ++Counter;
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Counter, Threads * Rounds);
+
+  // try_lock fails while the lock is held and succeeds after.
+  Lock.lock();
+  bool TakenWhileHeld = true;
+  std::thread([&] { TakenWhileHeld = Lock.try_lock(); }).join();
+  EXPECT_FALSE(TakenWhileHeld);
+  Lock.unlock();
+  ASSERT_TRUE(Lock.try_lock());
+  Lock.unlock();
+
+  // A waiter that spins past the limit marks the lock and parks; the
+  // unlock wakes it and it takes the lock.
+  Lock.lock();
+  std::atomic<bool> Acquired{false};
+  std::thread Waiter([&] {
+    std::lock_guard<concurrent::ShardLock> Guard(Lock);
+    Acquired.store(true, std::memory_order_relaxed);
+  });
+  while (!Lock.hasWaiters())
+    std::this_thread::yield();
+  EXPECT_FALSE(Acquired.load(std::memory_order_relaxed));
+  Lock.unlock();
+  Waiter.join();
+  EXPECT_TRUE(Acquired.load(std::memory_order_relaxed));
+  EXPECT_FALSE(Lock.hasWaiters());
+  EXPECT_TRUE(Lock.try_lock());
+  Lock.unlock();
 }
 
 //===--------------------------------------------------------------------===//
